@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a positive verdict (tautology / satisfiable /
 equivalent, or a passing self-test), 1 for the negative verdict or a
-failed self-test, 2 for usage, parse or resource-limit errors.
+failed self-test, 2 for usage, parse or resource-limit errors and for any
+other exception, which is reported as one ``error: <Type>: <message>`` line.
 
 ``bench`` writes comma-separated rows to stdout with the header::
 
@@ -99,29 +100,49 @@ def count_models(root, n: int, store: Optional[pure.Store] = None) -> int:
                 return h.uid, h.terminal == 1, None, None, None
             return h.uid, None, h.var, h.low, h.high
 
+    # Explicit-stack post-order walk, so deep BDDs cannot overflow the
+    # interpreter stack.  ``counts`` maps a node to its models over the
+    # variables from its level down.  An inner node leaves a pending frame
+    # under its children; once both children have put (count, level) on
+    # ``results``, the frame combines them.  ``None`` marks a node in
+    # progress, and meeting one again means the graph (say, a corrupt
+    # store) has a cycle.
     counts: dict = {}
-
-    def level(x) -> int:
-        var = fields(x)[2]
-        return n + 1 if var is None else var
-
-    def walk(x) -> int:
-        key, value, var, low, high = fields(x)
-        hit = counts.get(key)
-        if hit is not None:
-            return hit
-        if var is None:
-            result = 1 if value else 0
-        else:
-            if var > n:
-                raise ValueError(f"node variable x{var} above the declared span {n}")
-            result = (walk(low) << (level(low) - var - 1)) + (
-                walk(high) << (level(high) - var - 1)
+    results: list = []
+    stack = [(root, None)]
+    while stack:
+        x, var = stack.pop()
+        if var is not None:
+            high_count, high_level = results.pop()
+            low_count, low_level = results.pop()
+            count = (low_count << (low_level - var - 1)) + (
+                high_count << (high_level - var - 1)
             )
-        counts[key] = result
-        return result
+            counts[x] = count
+            results.append((count, var))
+            continue
+        key, value, var, low, high = fields(x)
+        level = n + 1 if var is None else var
+        count = counts.get(key)
+        if count is not None:
+            results.append((count, level))
+            continue
+        if key in counts:
+            raise BddError("BDD graph contains a cycle")
+        if var is None:
+            count = 1 if value else 0
+            counts[key] = count
+            results.append((count, level))
+            continue
+        if var > n:
+            raise ValueError(f"node variable x{var} above the declared span {n}")
+        counts[key] = None
+        stack.append((key, var))
+        stack.append((high, None))
+        stack.append((low, None))
 
-    return walk(root) << (level(root) - 1)
+    count, level = results.pop()
+    return count << (level - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +555,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # exit codes 0 and 1 are verdicts, so a crash (RecursionError,
+        # MemoryError, a bug) must not leave through them
+        message = str(exc).replace("\n", " ")
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

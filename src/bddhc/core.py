@@ -55,6 +55,13 @@ class Leaf(enum.Enum):
     TRUE = "T"
     FALSE = "F"
 
+    # Identity hash, computed in C.  ``Enum.__hash__`` is a Python-level
+    # ``hash(self._name_)``, and every hash of a node triple with a leaf
+    # child paid for it.  Both hashes vary per process (string hashing is
+    # randomized), and every table iterates in insertion order, so no
+    # result or counter depends on which one is used.
+    __hash__ = object.__hash__
+
     def __bool__(self) -> bool:
         return self is Leaf.TRUE
 

@@ -21,6 +21,21 @@ so earlier versions are never disturbed.  Entries added by newer versions
 have ids ``>= next`` of every older version and are filtered out of the
 older versions' views, which is what makes sharing sound.
 
+Hot path
+========
+``mk_node`` and the ``neg``/``apply_binop`` recursions keep every check
+and every counter: the variable and child-reference shape checks, child
+visibility against ``next``, dangling ids, the variable order, and the
+visibility of hash-consing and memo entries, each with its own exception
+and message.  They run inline on locals read once per call, with a
+``type(x) is int`` fast test that falls back to the full test for
+anything else (bools, int subclasses, bad values), because the call
+overhead of small helpers costs more than the checks themselves.
+``core.Leaf`` hashes by identity, so hashing a node triple with a leaf
+child stays in C.  The recursions call ``mk_node`` and ``_neg_rec``
+through the module globals, so a wrapper installed on this module (a
+tracer, say) sees every call.
+
 Serialization
 =============
 ``store_to_text``/``store_from_text`` use a line-based format::
@@ -58,6 +73,9 @@ from .core import (
 )
 
 _BINOPS = ("and", "or", "xor")
+
+# memo table attribute of ``_Shared`` and the hit/miss counter keys, per op
+_BINOP_KEYS = {op: ("m" + op, op + "_hits", op + "_misses") for op in _BINOPS}
 
 _STAT_KEYS = (
     "intern_hits",
@@ -351,22 +369,6 @@ def _graph_get(st: Store, node_id: int) -> Optional[Node]:
     return None
 
 
-def _hmap_get(st: Store, node: Node) -> Optional[int]:
-    node_id = st.shared.hmap.get(node)
-    if node_id is not None and (node_id <= st.count or node_id < st.next):
-        return node_id
-    return None
-
-
-def _memo_get(st: Store, table: dict, key) -> Optional[NodeRef]:
-    value = table.get(key)
-    if value is None:
-        return None
-    if isinstance(value, Leaf) or value <= st.count or value < st.next:
-        return value
-    return None
-
-
 def _alloc(st: Store, node: Node) -> tuple[int, Store]:
     """Append ``node`` with the fresh id ``st.next``; clone first if this
     version is not the arena tip."""
@@ -388,10 +390,6 @@ def _alloc(st: Store, node: Node) -> tuple[int, Store]:
     )
 
 
-def _bump(st: Store, key: str, by: int = 1) -> None:
-    st.shared.stats[key] += by
-
-
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -404,29 +402,35 @@ def mk_node(st: Store, low: NodeRef, var: int, high: NodeRef) -> tuple[NodeRef, 
     fresh node under id ``st.next``.  The returned store extends ``st``
     monotonically; on the first two paths it *is* ``st``.
     """
-    check_var(var)
+    shared, count, nxt, _, reduce_nodes = st
+    if type(var) is not int or var < 1:
+        check_var(var)
+    cells = shared.cells
     for child in (low, high):
-        if isinstance(child, Leaf):
-            continue
-        if not isinstance(child, int) or isinstance(child, bool) or child < 1:
+        if type(child) is not int:
+            if isinstance(child, Leaf):
+                continue
+            if not isinstance(child, int) or isinstance(child, bool):
+                raise InvalidChild(f"not a node reference: {child!r}")
+        if child < 1:
             raise InvalidChild(f"not a node reference: {child!r}")
-        if child >= st.next:
-            raise InvalidChild(f"child id {child} is not valid here (next={st.next})")
-        node = _graph_get(st, child)
+        if child >= nxt:
+            raise InvalidChild(f"child id {child} is not valid here (next={nxt})")
+        node = cells[child - 1] if child <= count else None
         if node is None:
             raise DanglingRef(f"child id {child} has no graph entry")
         if node.var <= var:
             raise OrderViolation(
                 f"child {child} has variable x{node.var}, not below x{var}"
             )
-    if st.reduce_nodes and node_should_collapse(low, high):
+    if reduce_nodes and low == high:
         return low, st
     node = Node(low, var, high)
-    node_id = _hmap_get(st, node)
-    if node_id is not None:
-        _bump(st, "intern_hits")
+    node_id = shared.hmap.get(node)
+    if node_id is not None and (node_id <= count or node_id < nxt):
+        shared.stats["intern_hits"] += 1
         return node_id, st
-    _bump(st, "intern_misses")
+    shared.stats["intern_misses"] += 1
     return _alloc(st, node)
 
 
@@ -471,17 +475,19 @@ def _neg_rec(st: Store, ref: NodeRef, fuel: int) -> tuple[NodeRef, Store]:
         return LEAF_FALSE, st
     if ref is LEAF_FALSE:
         return LEAF_TRUE, st
-    hit = _memo_get(st, st.shared.mneg, ref)
-    if hit is not None:
-        _bump(st, "not_hits")
+    shared, count, nxt, _, _ = st
+    hit = shared.mneg.get(ref)
+    if hit is not None and (type(hit) is Leaf or hit <= count or hit < nxt):
+        shared.stats["not_hits"] += 1
         return hit, st
-    _bump(st, "not_misses")
-    node = _graph_get(st, ref)
+    shared.stats["not_misses"] += 1
+    node = shared.cells[ref - 1] if 1 <= ref <= count else None
     if node is None:
         raise DanglingRef(f"node id {ref} has no graph entry")
-    low, st = _neg_rec(st, node.low, fuel - 1)
-    high, st = _neg_rec(st, node.high, fuel - 1)
-    result, st = mk_node(st, low, node.var, high)
+    low, var, high = node
+    low, st = _neg_rec(st, low, fuel - 1)
+    high, st = _neg_rec(st, high, fuel - 1)
+    result, st = mk_node(st, low, var, high)
     st.shared.mneg[ref] = result
     return result, st
 
@@ -533,28 +539,34 @@ def _apply_rec(
             return _neg_rec(st, b, fuel)
         if b is LEAF_TRUE:
             return _neg_rec(st, a, fuel)
-    table = getattr(st.shared, "m" + op)
+    table, hits, misses = _BINOP_KEYS[op]
+    shared, count, nxt, _, _ = st
     key = (a, b)
-    hit = _memo_get(st, table, key)
-    if hit is not None:
-        _bump(st, op + "_hits")
+    hit = getattr(shared, table).get(key)
+    if hit is not None and (type(hit) is Leaf or hit <= count or hit < nxt):
+        shared.stats[hits] += 1
         return hit, st
-    _bump(st, op + "_misses")
-    node_a = _graph_get(st, a)
+    shared.stats[misses] += 1
+    cells = shared.cells
+    node_a = cells[a - 1] if 1 <= a <= count else None
     if node_a is None:
         raise DanglingRef(f"node id {a} has no graph entry")
-    node_b = _graph_get(st, b)
+    node_b = cells[b - 1] if 1 <= b <= count else None
     if node_b is None:
         raise DanglingRef(f"node id {b} has no graph entry")
-    var = min(node_a.var, node_b.var)
-    a_low, a_high = (node_a.low, node_a.high) if node_a.var == var else (a, a)
-    b_low, b_high = (node_b.low, node_b.high) if node_b.var == var else (b, b)
+    a_low, var, a_high = node_a
+    b_low, var_b, b_high = node_b
+    if var < var_b:
+        b_low = b_high = b
+    elif var_b < var:
+        var = var_b
+        a_low = a_high = a
     low, st = _apply_rec(st, op, a_low, b_low, fuel - 1)
     high, st = _apply_rec(st, op, a_high, b_high, fuel - 1)
     result, st = mk_node(st, low, var, high)
     # re-fetch: allocating above may have forked the arena, and the entry
     # must land in the arena this lineage now owns
-    getattr(st.shared, "m" + op)[key] = result
+    getattr(st.shared, table)[key] = result
     return result, st
 
 

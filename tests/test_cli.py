@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bddhc import cli, frontend, interned, oracle, pure
+from bddhc.core import LEAF_FALSE, LEAF_TRUE, BddError, Node
 from bddhc.cli import count_models, main
 
 
@@ -46,6 +47,30 @@ def test_count_models_rejects_small_span():
     h = frontend.compile_interned(frontend.parse("x3"), m)
     with pytest.raises(ValueError):
         count_models(h, 2)
+
+
+def test_count_models_deep_chain_both_forms():
+    # x1 & x2 & ... & x3000, built bottom-up: deeper than the interpreter's
+    # default recursion limit, and with exactly one model
+    n = 3000
+    st = pure.empty_store()
+    ref = LEAF_TRUE
+    for var in range(n, 0, -1):
+        ref, st = pure.mk_node(st, LEAF_FALSE, var, ref)
+    assert count_models(ref, n, store=st) == 1
+    m = interned.new_manager()
+    h = m.true
+    for var in range(n, 0, -1):
+        h = m.node(var, m.false, h)
+    assert count_models(h, n) == 1
+
+
+def test_count_models_rejects_cyclic_store():
+    looped = pure.store_from_parts(
+        {1: Node(LEAF_FALSE, 1, 2), 2: Node(LEAF_FALSE, 2, 1)}, next_id=3
+    )
+    with pytest.raises(BddError, match="cycle"):
+        count_models(1, 2, store=looped)
 
 
 # -- check ----------------------------------------------------------------
@@ -95,6 +120,18 @@ def test_check_parse_error_exits_2(formula_file, capsys):
     path = formula_file("x1 &")
     assert main(["check", "taut", path]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["pure", "interned"])
+def test_check_crash_exits_2_not_a_verdict(formula_file, capsys, backend):
+    # compiling a 2000-term left-deep chain overflows the interpreter stack;
+    # exit codes 0 and 1 are verdicts, so the crash must leave through 2
+    path = formula_file(" & ".join(f"x{i}" for i in range(1, 2001)))
+    assert main(["check", "sat", path, "--backend", backend]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: RecursionError: ")
 
 
 def test_check_missing_file(capsys):

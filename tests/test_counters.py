@@ -1,0 +1,84 @@
+"""Golden counters: a change that only claims speed leaves these exact.
+
+The values were recorded before the pure backend's hot path was
+inlined.  Both backends must reproduce them, so they also pin that the
+backends count the same work.
+"""
+import random
+
+from bddhc import frontend, interned, pure
+
+QUEENS_5 = {
+    "stats": {
+        "intern_hits": 2018, "intern_misses": 3817,
+        "not_hits": 136, "not_misses": 184,
+        "and_hits": 1147, "and_misses": 5515,
+        "or_hits": 0, "or_misses": 40,
+        "xor_hits": 0, "xor_misses": 0,
+    },
+    "nodes": 3817,
+    "memo": {"not": 184, "and": 5515, "or": 40, "xor": 0},
+}
+
+# random_formula(Random(1), max_var=8, max_depth=9), twice, XORed together
+RANDOM_PAIR_XOR = {
+    "stats": {
+        "intern_hits": 379, "intern_misses": 610,
+        "not_hits": 205, "not_misses": 149,
+        "and_hits": 70, "and_misses": 307,
+        "or_hits": 52, "or_misses": 242,
+        "xor_hits": 31, "xor_misses": 215,
+    },
+    "nodes": 610,
+    "memo": {"not": 149, "and": 307, "or": 242, "xor": 215},
+}
+
+
+def _random_pair():
+    rng = random.Random(1)
+    return [frontend.random_formula(rng, max_var=8, max_depth=9) for _ in range(2)]
+
+
+def _pure_facts(formulas, xor):
+    st = pure.empty_store()
+    refs = []
+    for f in formulas:
+        ref, st = frontend.compile_pure(f, st)
+        refs.append(ref)
+    if xor:
+        _, st = pure.apply_binop(st, "xor", refs[0], refs[1])
+    memo = st.memo
+    return {
+        "stats": pure.store_stats(st),
+        "nodes": pure.node_count(st),
+        "memo": {
+            "not": len(memo.mneg),
+            "and": len(memo.mand),
+            "or": len(memo.mor),
+            "xor": len(memo.mxor),
+        },
+    }
+
+
+def _interned_facts(formulas, xor, kernel):
+    m = interned.new_manager(kernel)
+    handles = [frontend.compile_interned(f, m) for f in formulas]
+    if xor:
+        m.apply_binop("xor", handles[0], handles[1])
+    return {
+        "stats": m.stats(),
+        "nodes": m.pool_size() - 2,
+        "memo": {op: len(table) for op, table in m.memo_entries().items()},
+    }
+
+
+def test_queens_5_counters_are_pinned(kernel):
+    formulas = [frontend.queens_formula(5)]
+    assert _pure_facts(formulas, xor=False) == QUEENS_5
+    assert _interned_facts(formulas, False, kernel) == QUEENS_5
+
+
+def test_random_pair_xor_counters_are_pinned(kernel):
+    assert all(RANDOM_PAIR_XOR["stats"].values())
+    assert _pure_facts(_random_pair(), xor=True) == RANDOM_PAIR_XOR
+    assert _interned_facts(_random_pair(), True, kernel) == RANDOM_PAIR_XOR

@@ -82,6 +82,22 @@ def test_mk_node_bad_ref_values():
             pure.mk_node(st, bad, 2, LEAF_TRUE)
 
 
+class _Int(int):
+    """An int subclass: accepted wherever a plain int is."""
+
+
+def test_mk_node_int_subclass_and_bool_var():
+    st = pure.empty_store()
+    ref, st = pure.mk_node(st, LEAF_FALSE, _Int(3), LEAF_TRUE)
+    assert ref == 1
+    top, st = pure.mk_node(st, _Int(1), 2, LEAF_TRUE)
+    assert st.graph[top] == Node(1, 2, LEAF_TRUE)
+    with pytest.raises(VarOutOfRange, match="got True"):
+        pure.mk_node(st, LEAF_FALSE, True, LEAF_TRUE)
+    with pytest.raises(OrderViolation, match="child 1 has variable x3, not below x3"):
+        pure.mk_node(st, _Int(1), _Int(3), LEAF_TRUE)
+
+
 # -- denotation -------------------------------------------------------
 
 
@@ -209,6 +225,45 @@ def test_apply_matches_oracle_pointwise():
         fn = {"and": lambda x, y: x & y, "or": lambda x, y: x | y,
               "xor": lambda x, y: x ^ y}[op]
         assert tr.bits == fn(ta.bits, tb.bits) & ((1 << 16) - 1)
+
+
+def _order_violating_store():
+    # node 2 tests x2 but its 1-branch, node 1, tests x1
+    return pure.store_from_parts(
+        {
+            1: Node(LEAF_FALSE, 1, LEAF_TRUE),
+            2: Node(LEAF_FALSE, 2, 1),
+            3: Node(LEAF_TRUE, 2, LEAF_FALSE),
+        }
+    )
+
+
+@pytest.mark.parametrize("op", ["or", "xor"])
+def test_apply_reports_order_violation_from_mk_node(op):
+    with pytest.raises(
+        OrderViolation, match=r"^child 1 has variable x1, not below x2$"
+    ):
+        pure.apply_binop(_order_violating_store(), op, 2, 3)
+
+
+def test_neg_reports_order_violation_from_mk_node():
+    with pytest.raises(
+        OrderViolation, match=r"^child 4 has variable x1, not below x2$"
+    ):
+        pure.neg(_order_violating_store(), 2)
+
+
+def test_operations_report_dangling_children():
+    # node 2's 0-branch names id 1, which has no graph entry
+    st = pure.store_from_parts(
+        {2: Node(1, 1, LEAF_TRUE), 3: Node(LEAF_FALSE, 2, LEAF_TRUE)}
+    )
+    with pytest.raises(DanglingRef, match=r"^node id 1 has no graph entry$"):
+        pure.apply_binop(st, "and", 2, 3)
+    with pytest.raises(DanglingRef, match=r"^node id 1 has no graph entry$"):
+        pure.neg(st, 2)
+    with pytest.raises(DanglingRef, match=r"^child id 1 has no graph entry$"):
+        pure.mk_node(st, 1, 1, LEAF_TRUE)
 
 
 def test_semantically_equal_formulas_share_one_ref():
