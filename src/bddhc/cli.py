@@ -24,13 +24,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import frontend, interned, oracle, pure
+from . import frontend, graph, interned, oracle, pure
 from .core import (
     LEAF_FALSE,
     LEAF_TRUE,
     BddError,
     Formula,
-    Leaf,
     formula_max_var,
 )
 
@@ -73,76 +72,14 @@ def _memo_totals(stats: dict[str, int]) -> tuple[int, int]:
     return hits, misses
 
 
-# ---------------------------------------------------------------------------
-# Model counting (weighted path counting over the variable span 1..n)
-
-
 def count_models(root, n: int, store: Optional[pure.Store] = None) -> int:
     """Satisfying assignments of a compiled BDD over variables ``x1..xn``.
 
-    Standard path counting: a branch that skips ``g`` variable levels
-    contributes its count times ``2**g``.  Verified against brute-force
-    enumeration in the test suite.
+    ``root`` is a pure node reference with its ``store``, or an interned
+    handle; the count is :func:`bddhc.graph.count_models`.
     """
-    if store is not None:
-
-        def fields(ref):
-            # (key, terminal value, var, low, high)
-            if isinstance(ref, Leaf):
-                return ref, ref is LEAF_TRUE, None, None, None
-            node = store.graph[ref]
-            return ref, None, node.var, node.low, node.high
-
-    else:
-
-        def fields(h):
-            if h.terminal >= 0:
-                return h.uid, h.terminal == 1, None, None, None
-            return h.uid, None, h.var, h.low, h.high
-
-    # Explicit-stack post-order walk, so deep BDDs cannot overflow the
-    # interpreter stack.  ``counts`` maps a node to its models over the
-    # variables from its level down.  An inner node leaves a pending frame
-    # under its children; once both children have put (count, level) on
-    # ``results``, the frame combines them.  ``None`` marks a node in
-    # progress, and meeting one again means the graph (say, a corrupt
-    # store) has a cycle.
-    counts: dict = {}
-    results: list = []
-    stack = [(root, None)]
-    while stack:
-        x, var = stack.pop()
-        if var is not None:
-            high_count, high_level = results.pop()
-            low_count, low_level = results.pop()
-            count = (low_count << (low_level - var - 1)) + (
-                high_count << (high_level - var - 1)
-            )
-            counts[x] = count
-            results.append((count, var))
-            continue
-        key, value, var, low, high = fields(x)
-        level = n + 1 if var is None else var
-        count = counts.get(key)
-        if count is not None:
-            results.append((count, level))
-            continue
-        if key in counts:
-            raise BddError("BDD graph contains a cycle")
-        if var is None:
-            count = 1 if value else 0
-            counts[key] = count
-            results.append((count, level))
-            continue
-        if var > n:
-            raise ValueError(f"node variable x{var} above the declared span {n}")
-        counts[key] = None
-        stack.append((key, var))
-        stack.append((high, None))
-        stack.append((low, None))
-
-    count, level = results.pop()
-    return count << (level - 1)
+    expand = interned.expand if store is None else pure.expander(store)
+    return graph.count_models(root, n, expand)
 
 
 # ---------------------------------------------------------------------------

@@ -80,10 +80,6 @@ NodeRef = Union[Leaf, int]
 Assignment = Mapping[int, bool]
 
 
-def is_leaf(ref: NodeRef) -> bool:
-    return isinstance(ref, Leaf)
-
-
 def leaf_of(value: bool) -> Leaf:
     return Leaf.TRUE if value else Leaf.FALSE
 

@@ -7,16 +7,17 @@ twin with identical observable behavior.  The extension is preferred at
 import time; set ``BDDHC_PURE_PYTHON=1`` to force the fallback, or pass
 ``kernel=`` to :func:`new_manager` to pick explicitly.
 
-This module also hosts everything that does not need to be fast:
-validation, DOT export, reachability, and rebuilding helpers.
+This module also hosts what does not need to be fast: validation, DOT
+export, and :func:`expand`, through which :mod:`bddhc.graph` reads the
+handles of either kernel.  Reachability, size, rebuilding, mirroring a
+pure store and the cache-semantics check are folds over that one walk.
 """
 from __future__ import annotations
 
 import os
-from itertools import product
 
 from .core import ForeignHandle, ValidationReport
-from . import _pykernel
+from . import _pykernel, graph, pure
 
 PyManager = _pykernel.Manager
 uid = _pykernel.uid
@@ -67,36 +68,25 @@ def structural_eq(a, b) -> bool:
 # Inspection helpers (kernel-independent: they only read handle fields)
 
 
+def expand(h) -> tuple:
+    """The :mod:`bddhc.graph` ``expand`` function for either kernel's handles."""
+    if h.terminal >= 0:
+        return h.terminal == 1, None, None, None
+    return None, h.var, h.low, h.high
+
+
 def reachable(root) -> list:
     """Handles reachable from ``root``, sorted by uid.
 
     Construction hands out child uids before parent uids, so this order
     is topological: every node's children appear earlier in the list.
     """
-    seen = {}
-    stack = [root]
-    while stack:
-        h = stack.pop()
-        if h.uid in seen:
-            continue
-        seen[h.uid] = h
-        if h.terminal < 0:
-            stack.append(h.low)
-            stack.append(h.high)
-    return [seen[u] for u in sorted(seen)]
+    return sorted((h for h, _ in graph.walk(root, expand)), key=uid)
 
 
 def bdd_size(root) -> int:
     """Distinct nodes reachable from ``root``, leaves included."""
-    return len(reachable(root))
-
-
-def denote_handle(root, assignment) -> bool:
-    """Evaluate a handle under one assignment by following branches."""
-    h = root
-    while h.terminal < 0:
-        h = h.high if assignment[h.var] else h.low
-    return h.terminal == 1
+    return graph.size(root, expand)
 
 
 def rebuild(m, root):
@@ -105,42 +95,12 @@ def rebuild(m, root):
     Rebuilding into the owning manager must return the identical uids;
     rebuilding into a fresh manager copies the BDD across.
     """
-    done: dict[int, object] = {}
-
-    def go(h):
-        hit = done.get(h.uid)
-        if hit is not None:
-            return hit
-        if h.terminal == 1:
-            made = m.true
-        elif h.terminal == 0:
-            made = m.false
-        else:
-            made = m.node(h.var, go(h.low), go(h.high))
-        done[h.uid] = made
-        return made
-
-    return go(root)
+    return graph.copy(root, expand, m)
 
 
 def import_pure(m, store, ref):
     """Mirror a pure-backend BDD into manager ``m``, preserving structure."""
-    from .core import Leaf
-
-    done: dict[int, object] = {}
-
-    def go(r):
-        if isinstance(r, Leaf):
-            return m.true if r is Leaf.TRUE else m.false
-        hit = done.get(r)
-        if hit is not None:
-            return hit
-        node = store.graph[r]
-        made = m.node(node.var, go(node.low), go(node.high))
-        done[r] = made
-        return made
-
-    return go(ref)
+    return graph.copy(ref, pure.expander(store), m)
 
 
 # ---------------------------------------------------------------------------
@@ -213,36 +173,19 @@ def validate_manager(m, check_cache_semantics: bool = False) -> ValidationReport
 
 
 def _check_cache_semantics(m, by_uid, report) -> None:
-    ops = {
-        "and": lambda x, y: x and y,
-        "or": lambda x, y: x or y,
-        "xor": lambda x, y: x != y,
-    }
     caches = m.memo_entries()
-    for u, value in caches["not"].items():
-        a = by_uid[u]
-        vars_ = _cone_vars(a) | _cone_vars(value)
-        for bits in product((False, True), repeat=len(vars_)):
-            assignment = dict(zip(sorted(vars_), bits))
-            if denote_handle(value, assignment) == denote_handle(a, assignment):
-                report.add("cache-semantics", f"not cache wrong for uid {u}")
-                break
-    for op, fn in ops.items():
-        for (ua, ub), value in caches[op].items():
-            a, b = by_uid[ua], by_uid[ub]
-            vars_ = _cone_vars(a) | _cone_vars(b) | _cone_vars(value)
-            for bits in product((False, True), repeat=len(vars_)):
-                assignment = dict(zip(sorted(vars_), bits))
-                want = fn(denote_handle(a, assignment), denote_handle(b, assignment))
-                if denote_handle(value, assignment) != want:
-                    report.add(
-                        "cache-semantics", f"{op} cache wrong for ({ua}, {ub})"
-                    )
-                    break
-
-
-def _cone_vars(root) -> set[int]:
-    return {h.var for h in reachable(root) if h.terminal < 0}
+    entries = [("not", (by_uid[u],), value) for u, value in caches["not"].items()]
+    for op in ("and", "or", "xor"):
+        entries += [
+            (op, (by_uid[ua], by_uid[ub]), value)
+            for (ua, ub), value in caches[op].items()
+        ]
+    for op, operands, _, _ in graph.memo_faults(entries, expand):
+        if op == "not":
+            where = f"uid {operands[0].uid}"
+        else:
+            where = f"({operands[0].uid}, {operands[1].uid})"
+        report.add("cache-semantics", f"{op} cache wrong for {where}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 Everything here works by enumerating assignments and evaluating one at a
 time; it never touches a backend's node constructors or apply machinery.
+A compiled BDD is read through each backend's :mod:`bddhc.graph`
+``expand`` function, the same read-only view every other walk uses.
 Slow and obviously correct is the point.
 
 Bit order: table index ``k`` encodes the assignment in which variable
@@ -12,13 +14,12 @@ integer being entry ``k``, zero-padded to ``2**n / 4`` digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
+from . import graph, interned, pure
 from .core import (
     ArityMismatch,
-    DanglingRef,
     Formula,
-    Leaf,
-    NodeRef,
     VarOutOfRange,
     eval_formula,
     formula_max_var,
@@ -83,48 +84,23 @@ def bdd_truth_table(root, n: int, store=None) -> TruthTable:
 
     ``root`` is either a pure-backend node reference together with its
     ``store``, or an interned-backend handle (``store`` omitted).  The
-    walk reads the graph directly; it never calls backend operations.
+    paths are followed by :func:`bddhc.graph.follow`, which only reads
+    the graph: no constructor or operation of either backend runs.
     """
     _check_n(n)
-    if store is not None:
-        follow = _pure_follower(root, store)
-    else:
-        follow = _handle_follower(root)
+    expand = interned.expand if store is None else pure.expander(store)
     bits = 0
     for k in range(1 << n):
-        if follow(k, n):
+        if graph.follow(root, expand, partial(_branch, k, n)):
             bits |= 1 << k
     return TruthTable(n, bits)
 
 
-def _pure_follower(root: NodeRef, store):
-    cells = store.shared.cells
-    count = store.count
-
-    def follow(k: int, n: int) -> bool:
-        ref = root
-        while not isinstance(ref, Leaf):
-            node = cells[ref - 1] if 1 <= ref <= count else None
-            if node is None:
-                raise DanglingRef(f"node id {ref} has no graph entry")
-            if node.var > n:
-                raise VarOutOfRange(f"node variable x{node.var} above table arity {n}")
-            ref = node.high if (k >> (node.var - 1)) & 1 else node.low
-        return ref is Leaf.TRUE
-
-    return follow
-
-
-def _handle_follower(root):
-    def follow(k: int, n: int) -> bool:
-        h = root
-        while h.terminal < 0:
-            if h.var > n:
-                raise VarOutOfRange(f"node variable x{h.var} above table arity {n}")
-            h = h.high if (k >> (h.var - 1)) & 1 else h.low
-        return h.terminal == 1
-
-    return follow
+def _branch(k: int, n: int, var: int) -> int:
+    """Bit of table index ``k`` that chooses ``var``'s branch."""
+    if var > n:
+        raise VarOutOfRange(f"node variable x{var} above table arity {n}")
+    return (k >> (var - 1)) & 1
 
 
 def tables_equal(a: TruthTable, b: TruthTable) -> bool:

@@ -21,6 +21,11 @@ so earlier versions are never disturbed.  Entries added by newer versions
 have ids ``>= next`` of every older version and are filtered out of the
 older versions' views, which is what makes sharing sound.
 
+Code that only reads a finished diagram (size, denotation, the memo
+semantics check, the oracle, model counting, mirroring into a manager)
+lives in :mod:`bddhc.graph`; :func:`expander` gives it this version's
+nodes straight from the arena.
+
 Hot path
 ========
 ``mk_node`` and the ``neg``/``apply_binop`` recursions keep every check
@@ -55,6 +60,7 @@ from __future__ import annotations
 import threading
 from typing import Iterator, Mapping, NamedTuple, Optional
 
+from . import graph
 from .core import (
     LEAF_FALSE,
     LEAF_TRUE,
@@ -360,13 +366,7 @@ def default_fuel(st: Store) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Internal lookups (fast paths; views exist for external readers)
-
-
-def _graph_get(st: Store, node_id: int) -> Optional[Node]:
-    if 1 <= node_id <= st.count:
-        return st.shared.cells[node_id - 1]
-    return None
+# Allocation
 
 
 def _alloc(st: Store, node: Node) -> tuple[int, Store]:
@@ -439,17 +439,7 @@ def denote(st: Store, ref: NodeRef, assignment: Assignment) -> bool:
 
     The assignment must cover every variable on the followed path.
     """
-    steps = 0
-    limit = st.count + 1
-    while not isinstance(ref, Leaf):
-        node = _graph_get(st, ref)
-        if node is None:
-            raise DanglingRef(f"node id {ref} has no graph entry")
-        ref = node.high if assignment[node.var] else node.low
-        steps += 1
-        if steps > limit:
-            raise BddError("store graph contains a cycle")
-    return ref is LEAF_TRUE
+    return graph.follow(ref, expander(st), assignment.__getitem__)
 
 
 def eq(a: NodeRef, b: NodeRef) -> bool:
@@ -572,40 +562,27 @@ def _apply_rec(
 
 def size(st: Store, ref: NodeRef) -> int:
     """Distinct nodes reachable from ``ref``, leaves included."""
-    seen_ids: set[int] = set()
-    seen_leaves: set[Leaf] = set()
-    stack = [ref]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Leaf):
-            seen_leaves.add(cur)
-            continue
-        if cur in seen_ids:
-            continue
-        node = _graph_get(st, cur)
-        if node is None:
-            raise DanglingRef(f"node id {cur} has no graph entry")
-        seen_ids.add(cur)
-        stack.append(node.low)
-        stack.append(node.high)
-    return len(seen_ids) + len(seen_leaves)
+    return graph.size(ref, expander(st))
 
 
-def reachable_ids(st: Store, ref: NodeRef) -> set[int]:
-    """Ids of the inner nodes reachable from ``ref``."""
-    seen: set[int] = set()
-    stack = [ref]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Leaf) or cur in seen:
-            continue
-        node = _graph_get(st, cur)
+def expander(st: Store):
+    """The :mod:`bddhc.graph` ``expand`` function of one store version.
+
+    It reads the arena directly; an id the version cannot see raises
+    ``DanglingRef``.
+    """
+    cells, count = st.shared.cells, st.count
+
+    def expand(ref: NodeRef) -> tuple:
+        if isinstance(ref, Leaf):
+            return ref is LEAF_TRUE, None, None, None
+        node = cells[ref - 1] if 1 <= ref <= count else None
         if node is None:
-            raise DanglingRef(f"node id {cur} has no graph entry")
-        seen.add(cur)
-        stack.append(node.low)
-        stack.append(node.high)
-    return seen
+            raise DanglingRef(f"node id {ref} has no graph entry")
+        low, var, high = node
+        return None, var, low, high
+
+    return expand
 
 
 # ---------------------------------------------------------------------------
@@ -705,45 +682,19 @@ def validate_store(st: Store, check_memo_semantics: bool = False) -> ValidationR
 
 
 def _check_memo_semantics(st: Store, report: ValidationReport) -> None:
-    from itertools import product
-
     memo = st.memo
-    ops = {
-        "mand": (memo.mand, lambda x, y: x and y),
-        "mor": (memo.mor, lambda x, y: x or y),
-        "mxor": (memo.mxor, lambda x, y: x != y),
-    }
-    for name, (table, fn) in ops.items():
-        for (a, b), value in table.items():
-            vars_ = _cone_vars(st, a) | _cone_vars(st, b) | _cone_vars(st, value)
-            for bits in product((False, True), repeat=len(vars_)):
-                assignment = dict(zip(sorted(vars_), bits))
-                want = fn(denote(st, a, assignment), denote(st, b, assignment))
-                if denote(st, value, assignment) != want:
-                    report.add(
-                        "memo-semantics",
-                        f"{name}[({a}, {b})] = {value!r} is wrong under {assignment}",
-                    )
-                    break
-    for a, value in memo.mneg.items():
-        vars_ = _cone_vars(st, a) | _cone_vars(st, value)
-        for bits in product((False, True), repeat=len(vars_)):
-            assignment = dict(zip(sorted(vars_), bits))
-            if denote(st, value, assignment) == denote(st, a, assignment):
-                report.add(
-                    "memo-semantics",
-                    f"mneg[{a}] = {value!r} is wrong under {assignment}",
-                )
-                break
-
-
-def _cone_vars(st: Store, ref: NodeRef) -> set[int]:
-    out: set[int] = set()
-    for node_id in reachable_ids(st, ref):
-        node = _graph_get(st, node_id)
-        if node is not None:
-            out.add(node.var)
-    return out
+    entries = [
+        (op, key, value)
+        for op, table in (("and", memo.mand), ("or", memo.mor), ("xor", memo.mxor))
+        for key, value in table.items()
+    ]
+    entries += [("not", (a,), value) for a, value in memo.mneg.items()]
+    for op, operands, value, assignment in graph.memo_faults(entries, expander(st)):
+        if op == "not":
+            where = f"mneg[{operands[0]}]"
+        else:
+            where = f"m{op}[({operands[0]}, {operands[1]})]"
+        report.add("memo-semantics", f"{where} = {value!r} is wrong under {assignment}")
 
 
 def _graph_items(st: Store) -> Iterator[tuple[int, Node]]:

@@ -1,0 +1,65 @@
+"""Byte-for-byte pins of DOT text, serialized stores and bench rows.
+
+Each expected value is the first 16 hex digits of the SHA-256 of the
+output, recorded before the graph walks were shared between the two
+backends.  ``bddhc dot --backend pure`` mirrors the store into a manager,
+so its digest also pins the uid numbering of that copy.  Bench rows are
+compared without ``wall_s`` and without the ``#`` ratio lines.
+"""
+import hashlib
+import random
+
+import pytest
+
+from bddhc import frontend, pure
+from bddhc.cli import main
+
+FORMULAS = {
+    "queens4": lambda: frontend.queens_formula(4),
+    "random3": lambda: frontend.random_formula(
+        random.Random(3), max_var=8, max_depth=9
+    ),
+}
+
+DOT = {
+    ("queens4", "pure"): "ac6cfff10e402629",
+    ("queens4", "interned"): "a88cd4af7e9883b3",
+    ("random3", "pure"): "ed0a2e36f0fb1693",
+    ("random3", "interned"): "7b243d1dad645b60",
+}
+
+STORE_TEXT = {"queens4": "f40c3ee7341aaf84", "random3": "258a36df773a365b"}
+
+# ``bddhc bench queens --sizes 4..6 --kernel <k>``; the kernel is a column
+BENCH = {"python": "a642701bb1d4b877", "compiled": "50b189b4b16419d9"}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("backend", ["pure", "interned"])
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+def test_dot_text(name, backend, tmp_path, capsys):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(frontend.format_formula(FORMULAS[name]()) + "\n", encoding="utf-8")
+    assert main(["dot", str(path), "--backend", backend]) == 0
+    assert _digest(capsys.readouterr().out) == DOT[name, backend]
+
+
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+def test_store_text(name):
+    _, st = frontend.compile_pure(FORMULAS[name](), pure.empty_store())
+    assert _digest(pure.store_to_text(st)) == STORE_TEXT[name]
+
+
+def test_bench_rows(kernel, capsys):
+    assert main(["bench", "queens", "--sizes", "4..6", "--kernel", kernel]) == 0
+    rows = []
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("#"):
+            continue
+        fields = line.split(",")
+        del fields[4]  # wall_s
+        rows.append(",".join(fields))
+    assert _digest("\n".join(rows) + "\n") == BENCH[kernel]
