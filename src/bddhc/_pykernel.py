@@ -3,6 +3,22 @@
 Same observable behavior as the compiled kernel in ``_speedups``: given
 the same call sequence, both assign identical uids and report identical
 statistics.  ``bddhc.interned`` picks one of the two at import time.
+
+Hot path
+========
+``Manager.node`` keeps every check, in the same order and with the same
+exception and message: the variable, ``low``'s then ``high``'s owner,
+then ``low``'s then ``high``'s variable order.  It runs them inline on
+``self._tag`` read once per call: ``type(var) is int and var >= 1`` and
+``type(x) is Handle and x.tag == tag`` are the fast tests, and anything
+else (bools, int subclasses, bad values, foreign or non-handle children)
+goes to the full ``check_var``/``_check_owned``.  The apply and negation
+recursions read ``uid``/``terminal``/``var`` into locals once and branch
+on the smaller top variable inline.  The three apply recursions stay
+separate (one folded recursion with a per-op dispatch measured slower),
+and they call ``self.node`` and ``self._neg_rec`` through the instance,
+so a wrapper set as an instance attribute (a tracer, say) sees every
+constructor call.
 """
 from __future__ import annotations
 
@@ -60,48 +76,39 @@ class Manager:
     IMPL = "python"
 
     def __init__(self, reduce_nodes: bool = True):
-        self._tag = next(_manager_ids)
         self.reduce_nodes = reduce_nodes
         self._unique: dict[tuple[int, int, int], Handle] = {}
         self._not_cache: dict[int, Handle] = {}
         self._and_cache: dict[tuple[int, int], Handle] = {}
         self._or_cache: dict[tuple[int, int], Handle] = {}
         self._xor_cache: dict[tuple[int, int], Handle] = {}
-        self.intern_hits = 0
-        self.intern_misses = 0
-        self.not_hits = 0
-        self.not_misses = 0
-        self.and_hits = 0
-        self.and_misses = 0
-        self.or_hits = 0
-        self.or_misses = 0
-        self.xor_hits = 0
-        self.xor_misses = 0
-        self.true = Handle(1, 0, None, None, 1, self._tag)
-        self.false = Handle(2, 0, None, None, 0, self._tag)
-        self._next_uid = 3
+        self.reset()
 
     # -- construction -------------------------------------------------
 
     def node(self, var: int, low: Handle, high: Handle) -> Handle:
         """Reducing, hash-consing constructor for a decision node."""
-        check_var(var)
-        self._check_owned(low)
-        self._check_owned(high)
-        for child in (low, high):
-            if child.terminal < 0 and child.var <= var:
-                raise OrderViolation(
-                    f"child variable x{child.var} is not below x{var}"
-                )
-        if self.reduce_nodes and low.uid == high.uid:
+        tag = self._tag
+        if type(var) is not int or var < 1:
+            check_var(var)
+        if type(low) is not Handle or low.tag != tag:
+            self._check_owned(low)
+        if type(high) is not Handle or high.tag != tag:
+            self._check_owned(high)
+        if low.terminal < 0 and low.var <= var:
+            raise OrderViolation(f"child variable x{low.var} is not below x{var}")
+        if high.terminal < 0 and high.var <= var:
+            raise OrderViolation(f"child variable x{high.var} is not below x{var}")
+        lu, hu = low.uid, high.uid
+        if lu == hu and self.reduce_nodes:
             return low
-        key = (var, low.uid, high.uid)
+        key = (var, lu, hu)
         found = self._unique.get(key)
         if found is not None:
             self.intern_hits += 1
             return found
         self.intern_misses += 1
-        made = Handle(self._next_uid, var, low, high, -1, self._tag)
+        made = Handle(self._next_uid, var, low, high, -1, tag)
         self._next_uid += 1
         self._unique[key] = made
         return made
@@ -117,17 +124,17 @@ class Manager:
         return self._neg_rec(a)
 
     def _neg_rec(self, a: Handle) -> Handle:
-        if a.terminal == 1:
-            return self.false
-        if a.terminal == 0:
-            return self.true
-        found = self._not_cache.get(a.uid)
+        t = a.terminal
+        if t >= 0:
+            return self.false if t == 1 else self.true
+        u = a.uid
+        found = self._not_cache.get(u)
         if found is not None:
             self.not_hits += 1
             return found
         self.not_misses += 1
         made = self.node(a.var, self._neg_rec(a.low), self._neg_rec(a.high))
-        self._not_cache[a.uid] = made
+        self._not_cache[u] = made
         return made
 
     def apply_binop(self, op: str, a: Handle, b: Handle) -> Handle:
@@ -152,65 +159,86 @@ class Manager:
         return self.apply_binop("xor", a, b)
 
     def _and_rec(self, a: Handle, b: Handle) -> Handle:
-        if a.uid == b.uid:
+        au, bu = a.uid, b.uid
+        if au == bu:
             return a
-        if a.terminal == 0 or b.terminal == 0:
-            return self.false
-        if a.terminal == 1:
-            return b
-        if b.terminal == 1:
-            return a
-        key = (a.uid, b.uid)
+        at, bt = a.terminal, b.terminal
+        if at >= 0 or bt >= 0:
+            if at == 0 or bt == 0:
+                return self.false
+            return b if at == 1 else a
+        key = (au, bu)
         found = self._and_cache.get(key)
         if found is not None:
             self.and_hits += 1
             return found
         self.and_misses += 1
-        var, a0, a1, b0, b1 = _split(a, b)
-        made = self.node(var, self._and_rec(a0, b0), self._and_rec(a1, b1))
+        av, bv = a.var, b.var
+        if av == bv:
+            made = self.node(
+                av, self._and_rec(a.low, b.low), self._and_rec(a.high, b.high)
+            )
+        elif av < bv:
+            made = self.node(av, self._and_rec(a.low, b), self._and_rec(a.high, b))
+        else:
+            made = self.node(bv, self._and_rec(a, b.low), self._and_rec(a, b.high))
         self._and_cache[key] = made
         return made
 
     def _or_rec(self, a: Handle, b: Handle) -> Handle:
-        if a.uid == b.uid:
+        au, bu = a.uid, b.uid
+        if au == bu:
             return a
-        if a.terminal == 1 or b.terminal == 1:
-            return self.true
-        if a.terminal == 0:
-            return b
-        if b.terminal == 0:
-            return a
-        key = (a.uid, b.uid)
+        at, bt = a.terminal, b.terminal
+        if at >= 0 or bt >= 0:
+            if at == 1 or bt == 1:
+                return self.true
+            return b if at == 0 else a
+        key = (au, bu)
         found = self._or_cache.get(key)
         if found is not None:
             self.or_hits += 1
             return found
         self.or_misses += 1
-        var, a0, a1, b0, b1 = _split(a, b)
-        made = self.node(var, self._or_rec(a0, b0), self._or_rec(a1, b1))
+        av, bv = a.var, b.var
+        if av == bv:
+            made = self.node(
+                av, self._or_rec(a.low, b.low), self._or_rec(a.high, b.high)
+            )
+        elif av < bv:
+            made = self.node(av, self._or_rec(a.low, b), self._or_rec(a.high, b))
+        else:
+            made = self.node(bv, self._or_rec(a, b.low), self._or_rec(a, b.high))
         self._or_cache[key] = made
         return made
 
     def _xor_rec(self, a: Handle, b: Handle) -> Handle:
-        if a.uid == b.uid:
+        au, bu = a.uid, b.uid
+        if au == bu:
             return self.false
-        if a.terminal == 0:
-            return b
-        if b.terminal == 0:
-            return a
-        # xor against true is negation; the not-cache carries it
-        if a.terminal == 1:
-            return self._neg_rec(b)
-        if b.terminal == 1:
-            return self._neg_rec(a)
-        key = (a.uid, b.uid)
+        at, bt = a.terminal, b.terminal
+        if at >= 0 or bt >= 0:
+            if at == 0:
+                return b
+            if bt == 0:
+                return a
+            # xor against true is negation; the not-cache carries it
+            return self._neg_rec(b) if at == 1 else self._neg_rec(a)
+        key = (au, bu)
         found = self._xor_cache.get(key)
         if found is not None:
             self.xor_hits += 1
             return found
         self.xor_misses += 1
-        var, a0, a1, b0, b1 = _split(a, b)
-        made = self.node(var, self._xor_rec(a0, b0), self._xor_rec(a1, b1))
+        av, bv = a.var, b.var
+        if av == bv:
+            made = self.node(
+                av, self._xor_rec(a.low, b.low), self._xor_rec(a.high, b.high)
+            )
+        elif av < bv:
+            made = self.node(av, self._xor_rec(a.low, b), self._xor_rec(a.high, b))
+        else:
+            made = self.node(bv, self._xor_rec(a, b.low), self._xor_rec(a, b.high))
         self._xor_cache[key] = made
         return made
 
@@ -284,20 +312,6 @@ class Manager:
             if tag is None:
                 raise InvalidChild(f"not a handle: {h!r}")
             raise ForeignHandle("handle belongs to a different manager")
-
-
-def _split(a: Handle, b: Handle):
-    """Branch decomposition on the smaller top variable."""
-    var = a.var if a.var < b.var else b.var
-    if a.var == var:
-        a0, a1 = a.low, a.high
-    else:
-        a0 = a1 = a
-    if b.var == var:
-        b0, b1 = b.low, b.high
-    else:
-        b0 = b1 = b
-    return var, a0, a1, b0, b1
 
 
 def uid(a: Handle) -> int:

@@ -224,6 +224,8 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Compilation
 
+_BINOP_NAMES = {And: "and", Or: "or", Xor: "xor"}
+
 
 def compile_pure(
     f: Formula, st: pure.Store, fuel: Optional[int] = None
@@ -236,7 +238,7 @@ def compile_pure(
     if isinstance(f, Not):
         ref, st = compile_pure(f.arg, st, fuel)
         return pure.neg(st, ref, fuel)
-    op = {And: "and", Or: "or", Xor: "xor"}.get(type(f))
+    op = _BINOP_NAMES.get(type(f))
     if op is None:
         raise TypeError(f"not a formula: {f!r}")
     a, st = compile_pure(f.left, st, fuel)
@@ -252,7 +254,7 @@ def compile_interned(f: Formula, m):
         return m.node(f.var, m.false, m.true)
     if isinstance(f, Not):
         return m.neg(compile_interned(f.arg, m))
-    op = {And: "and", Or: "or", Xor: "xor"}.get(type(f))
+    op = _BINOP_NAMES.get(type(f))
     if op is None:
         raise TypeError(f"not a formula: {f!r}")
     return m.apply_binop(op, compile_interned(f.left, m), compile_interned(f.right, m))

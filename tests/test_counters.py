@@ -82,3 +82,27 @@ def test_random_pair_xor_counters_are_pinned(kernel):
     assert all(RANDOM_PAIR_XOR["stats"].values())
     assert _pure_facts(_random_pair(), xor=True) == RANDOM_PAIR_XOR
     assert _interned_facts(_random_pair(), True, kernel) == RANDOM_PAIR_XOR
+
+
+def test_python_kernel_recursion_calls_instance_node_and_neg():
+    """A counting wrapper set on the instance sees every constructor call.
+
+    perfbench's tracer shadows ``node``/``neg`` with instance attributes
+    and relies on the Python kernel's recursions looking ``self.node`` up
+    at call time; ``neg`` is only entered from outside the recursion.
+    """
+    m = interned.new_manager("python")
+    calls = {"node": 0, "neg": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    m.node = counting("node", m.node)
+    m.neg = counting("neg", m.neg)
+    frontend.compile_interned(frontend.queens_formula(5), m)
+    assert calls == {"node": 6084, "neg": 160}
+    assert m.stats() == QUEENS_5["stats"]

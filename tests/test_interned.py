@@ -57,12 +57,20 @@ def test_shannon_expansion_collapses_to_one_node(manager):
 
 def test_node_order_violation(manager):
     h = manager.node(2, manager.false, manager.true)
-    with pytest.raises(OrderViolation):
+    with pytest.raises(OrderViolation) as err:
         manager.node(2, h, manager.true)
-    with pytest.raises(OrderViolation):
+    assert str(err.value) == "child variable x2 is not below x2"
+    with pytest.raises(OrderViolation) as err:
         manager.node(5, manager.true, h)
+    assert str(err.value) == "child variable x2 is not below x5"
+    # both children out of order: low is checked first
+    g = manager.node(3, manager.false, manager.true)
+    with pytest.raises(OrderViolation) as err:
+        manager.node(3, h, g)
+    assert str(err.value) == "child variable x2 is not below x3"
     with pytest.raises(VarOutOfRange):
         manager.node(0, manager.false, manager.true)
+    assert manager.pool_size() == 4
 
 
 def test_foreign_handle_same_kernel(kernel):
@@ -91,8 +99,45 @@ def test_foreign_handle_across_kernels():
 
 
 def test_non_handle_rejected(manager):
-    with pytest.raises(InvalidChild):
+    with pytest.raises(InvalidChild) as err:
         manager.node(1, "nope", manager.true)
+    assert type(err.value) is InvalidChild
+    assert str(err.value) == "not a handle: 'nope'"
+    with pytest.raises(InvalidChild) as err:
+        manager.node(1, manager.true, 5)
+    assert str(err.value) == "not a handle: 5"
+
+
+# The constructor's exact exception types and messages; every kernel
+# gives the same ones.
+
+
+@pytest.mark.parametrize("var", [True, 0, -1, 1.0])
+def test_node_bad_var_message(manager, var):
+    with pytest.raises(VarOutOfRange) as err:
+        manager.node(var, manager.false, manager.true)
+    assert type(err.value) is VarOutOfRange
+    assert str(err.value) == f"variable index must be a positive integer, got {var!r}"
+
+
+def test_node_accepts_int_subclass_var(manager):
+    class MyInt(int):
+        pass
+
+    h = manager.node(MyInt(2), manager.false, manager.true)
+    assert h.var == 2
+    assert manager.node(2, manager.false, manager.true) is h
+    assert manager.stats()["intern_hits"] == 1
+
+
+def test_node_ownership_is_checked_before_order(kernel):
+    m = interned.new_manager(kernel)
+    other = interned.new_manager(kernel)
+    h = m.node(3, m.false, m.true)
+    with pytest.raises(ForeignHandle) as err:
+        m.node(3, other.false, h)
+    assert type(err.value) is ForeignHandle
+    assert str(err.value) == "handle belongs to a different manager"
 
 
 # -- structural equality -------------------------------------------------
