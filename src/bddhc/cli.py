@@ -28,9 +28,15 @@ from . import frontend, graph, interned, oracle, pure
 from .core import (
     LEAF_FALSE,
     LEAF_TRUE,
+    And,
     BddError,
+    Const,
     Formula,
+    Not,
+    Or,
+    Xor,
     formula_max_var,
+    formula_size,
 )
 
 QUEENS_SIZE_CAP = 8
@@ -317,7 +323,6 @@ def cmd_bench(args) -> int:
 
 def _shrink(failing: Callable[[Formula], bool], f: Formula) -> Formula:
     """Greedy minimization: keep any smaller candidate that still fails."""
-    from .core import And, Const, Not, Or, Xor
 
     def candidates(g):
         yield Const(False)
@@ -336,10 +341,9 @@ def _shrink(failing: Callable[[Formula], bool], f: Formula) -> Formula:
                 yield cls(g.left, c)
 
     for _ in range(80):
+        size = formula_size(f)
         for cand in candidates(f):
-            from .core import formula_size
-
-            if formula_size(cand) < formula_size(f) and failing(cand):
+            if formula_size(cand) < size and failing(cand):
                 f = cand
                 break
         else:

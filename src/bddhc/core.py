@@ -80,24 +80,11 @@ NodeRef = Union[Leaf, int]
 Assignment = Mapping[int, bool]
 
 
-def leaf_of(value: bool) -> Leaf:
-    return Leaf.TRUE if value else Leaf.FALSE
-
-
 def check_var(index: int) -> int:
     """Validate a 1-based variable index, returning it unchanged."""
     if not isinstance(index, int) or isinstance(index, bool) or index < 1:
         raise VarOutOfRange(f"variable index must be a positive integer, got {index!r}")
     return index
-
-
-def check_ref(ref: NodeRef) -> NodeRef:
-    """Validate the shape of a node reference (leaf, or positive id)."""
-    if isinstance(ref, Leaf):
-        return ref
-    if isinstance(ref, int) and not isinstance(ref, bool) and ref >= 1:
-        return ref
-    raise InvalidChild(f"not a node reference: {ref!r}")
 
 
 class Node(NamedTuple):
@@ -211,28 +198,42 @@ def eval_formula(f: Formula, a: Assignment) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def postorder(f: Formula) -> list[Formula]:
+    """Every subformula occurrence of ``f``, operands before their node.
+
+    The order is the one a left-to-right recursion finishes its calls in:
+    the left operand's subtree, then the right operand's, then the node
+    itself, so ``f`` comes last.  The walk keeps its own stack, so a
+    formula of any depth costs no interpreter frames; callers fold the
+    list with a stack of values.  Anything that is not a formula raises
+    ``TypeError`` before the list is returned.
+    """
+    out = []
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        out.append(g)
+        t = type(g)
+        if t is And or t is Or or t is Xor:
+            todo.append(g.left)
+            todo.append(g.right)
+        elif t is Not:
+            todo.append(g.arg)
+        elif t is not Ref and t is not Const:
+            raise TypeError(f"not a formula: {g!r}")
+    # ``out`` lists each node before its right subtree, then its left one
+    out.reverse()
+    return out
+
+
 def formula_max_var(f: Formula) -> int:
     """Largest variable index appearing in ``f`` (0 if none)."""
-    if isinstance(f, Const):
-        return 0
-    if isinstance(f, Ref):
-        return f.var
-    if isinstance(f, Not):
-        return formula_max_var(f.arg)
-    if isinstance(f, (And, Or, Xor)):
-        return max(formula_max_var(f.left), formula_max_var(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+    return max((g.var for g in postorder(f) if type(g) is Ref), default=0)
 
 
 def formula_size(f: Formula) -> int:
     """Number of AST nodes in ``f``."""
-    if isinstance(f, (Const, Ref)):
-        return 1
-    if isinstance(f, Not):
-        return 1 + formula_size(f.arg)
-    if isinstance(f, (And, Or, Xor)):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    raise TypeError(f"not a formula: {f!r}")
+    return len(postorder(f))
 
 
 # ---------------------------------------------------------------------------

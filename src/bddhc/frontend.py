@@ -9,8 +9,17 @@ Grammar (whitespace and ``#``-to-end-of-line comments are ignored)::
     unary   := '!' unary | atom    highest precedence
     atom    := 'x' INT | '0' | '1' | '(' formula ')'
 
-Binary operators are left-associative; variables are ``x1, x2, ...``.
-``parse`` and ``format_formula`` round-trip exactly.
+Binary operators are left-associative; variables are ``x1, x2, ...``
+with an index of ASCII digits.  ``parse`` and ``format_formula``
+round-trip exactly.
+
+``_BINARY`` (token to precedence and AST class) is the one definition of
+the binary operators; the parser, the formatter and the compilers read
+it.  ``parse`` is one operator-precedence loop that alternates between
+an operand (``!`` and ``(`` prefixes, then an atom) and what follows it,
+with the pending operators and their left operands on explicit stacks.
+The formatter and the compilers fold ``core.postorder``'s list with a
+stack of values, so no nesting depth costs interpreter frames.
 
 Compilation is bottom-up: constants become leaves, a variable ``x``
 becomes the node (low=false, var=x, high=true), and connectives go
@@ -36,6 +45,7 @@ from .core import (
     Or,
     Ref,
     Xor,
+    postorder,
 )
 
 
@@ -53,141 +63,133 @@ class VarIndexZero(ParseError):
 
 
 # ---------------------------------------------------------------------------
+# The grammar's operators
+
+# Binary operator token -> (precedence, AST class); a larger precedence
+# binds tighter.
+_BINARY = {"|": (1, Or), "^": (2, Xor), "&": (3, And)}
+# '!' binds tighter than every binary operator.
+_NOT_PREC = 4
+
+_SYMBOL = {cls: (token, prec) for token, (prec, cls) in _BINARY.items()}
+# the backends name their binary operations after the class: "and", ...
+_OP_NAME = {cls: cls.__name__.lower() for _, cls in _BINARY.values()}
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
+def _error(message: str, text: str, offset: int, cls=ParseError) -> ParseError:
+    """``cls(message)`` at the 1-based line and column of ``text[offset]``.
 
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
+    Columns count characters, except that a comment does not advance them,
+    which matters only for the end of input after a comment on the last line.
+    """
+    start = text.rfind("\n", 0, offset) + 1
+    comment = text.find("#", start, offset)
+    column = (offset if comment < 0 else comment) - start + 1
+    return cls(message, text.count("\n", 0, offset) + 1, column)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """``(kind, value, offset)`` tuples, ending with an ``eof`` token.
+
+    ``kind`` is the character for ``!&|^()``, ``"const"`` (value a bool) or
+    ``"var"`` (value the index).
+    """
     tokens = []
-    line, col = 1, 1
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
+        if ch in " \t\r\n":
             i += 1
-            continue
-        if ch in " \t\r":
+        elif ch == "#":
+            i = text.find("\n", i)
+            if i < 0:
+                i = n
+        elif ch in "!&|^()":
+            tokens.append((ch, ch, i))
             i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "!&|^()":
-            tokens.append(_Token(ch, ch, line, col))
+        elif ch in "01":
+            tokens.append(("const", ch == "1", i))
             i += 1
-            col += 1
-            continue
-        if ch in "01":
-            tokens.append(_Token("const", ch == "1", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "x":
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            digits = ""
-            while i < n and text[i].isdigit():
-                digits += text[i]
-                i += 1
-                col += 1
-            if not digits:
-                raise ParseError("expected digits after 'x'", start_line, start_col)
-            index = int(digits)
+        elif ch == "x":
+            j = i + 1
+            # ASCII only: str.isdigit() also accepts '²' and '١', which
+            # int() rejects or reads as another digit
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            if j == i + 1:
+                raise _error("expected digits after 'x'", text, i)
+            try:
+                index = int(text[i + 1 : j])
+            except ValueError:  # more digits than int() will convert
+                message = f"variable index too long ({j - i - 1} digits)"
+                raise _error(message, text, i) from None
             if index == 0:
-                raise VarIndexZero(
-                    "x0 is not a variable; indices start at 1", start_line, start_col
-                )
-            tokens.append(_Token("var", index, start_line, start_col))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", None, line, col))
+                message = "x0 is not a variable; indices start at 1"
+                raise _error(message, text, i, VarIndexZero)
+            tokens.append(("var", index, i))
+            i = j
+        else:
+            raise _error(f"unexpected character {ch!r}", text, i)
+    tokens.append(("eof", None, n))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.or_expr()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(
-                f"unexpected {tok.value!r} after the formula", tok.line, tok.column
-            )
-        return f
-
-    def or_expr(self) -> Formula:
-        f = self.xor_expr()
-        while self.peek().kind == "|":
-            self.take()
-            f = Or(f, self.xor_expr())
-        return f
-
-    def xor_expr(self) -> Formula:
-        f = self.and_expr()
-        while self.peek().kind == "^":
-            self.take()
-            f = Xor(f, self.and_expr())
-        return f
-
-    def and_expr(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "&":
-            self.take()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.take()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.take()
-        if tok.kind == "var":
-            return Ref(tok.value)
-        if tok.kind == "const":
-            return Const(tok.value)
-        if tok.kind == "(":
-            f = self.or_expr()
-            closing = self.take()
-            if closing.kind != ")":
-                raise ParseError("expected ')'", closing.line, closing.column)
-            return f
-        if tok.kind == "eof":
-            raise ParseError("expected a formula, found end of input", tok.line, tok.column)
-        raise ParseError(f"expected a formula, found {tok.value!r}", tok.line, tok.column)
+# An open group on the operator stack: it binds nothing, so it stops every
+# reduction.  The whole text is the bottom group, closed by end of input.
+_GROUP = (0, None)
+_NOT = (_NOT_PREC, Not)
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into an AST; raises ParseError with position."""
-    return _Parser(_tokenize(text)).parse()
+    tokens = _tokenize(text)
+    pending = [_GROUP]  # (precedence, class) of operators not yet applied
+    lefts: list[Formula] = []  # the left operand of each pending binary
+    i = 0
+    while True:
+        # an operand: '!' and '(' prefixes, then a variable or a constant
+        kind, value, offset = tokens[i]
+        i += 1
+        while kind == "!" or kind == "(":
+            pending.append(_NOT if kind == "!" else _GROUP)
+            kind, value, offset = tokens[i]
+            i += 1
+        if kind == "var":
+            f = Ref(value)
+        elif kind == "const":
+            f = Const(value)
+        elif kind == "eof":
+            raise _error("expected a formula, found end of input", text, offset)
+        else:
+            message = f"expected a formula, found {value!r}"
+            raise _error(message, text, offset)
+        # what follows: a binary operator, or the end of a group
+        while True:
+            kind, value, offset = tokens[i]
+            i += 1
+            op = _BINARY.get(kind)
+            # left-associative: apply pending operators binding at least as
+            # tight; anything else ends the group, applying all of them
+            floor = op[0] if op is not None else 1
+            while pending[-1][0] >= floor:
+                cls = pending.pop()[1]
+                f = Not(f) if cls is Not else cls(lefts.pop(), f)
+            if op is not None:
+                lefts.append(f)
+                pending.append(op)
+                break
+            if len(pending) == 1:
+                if kind != "eof":
+                    message = f"unexpected {value!r} after the formula"
+                    raise _error(message, text, offset)
+                return f
+            if kind != ")":
+                raise _error("expected ')'", text, offset)
+            pending.pop()
 
 
 def parse_file(path) -> Formula:
@@ -196,108 +198,92 @@ def parse_file(path) -> Formula:
         return parse(fh.read())
 
 
-_PREC = {Or: 1, Xor: 2, And: 3, Not: 4}
+def _grouped(text: str, g: Formula, prec: int) -> str:
+    """``text`` of ``g``, parenthesized if ``g`` binds looser than ``prec``."""
+    symbol = _SYMBOL.get(type(g))
+    return f"({text})" if symbol is not None and symbol[1] < prec else text
 
 
 def format_formula(f: Formula) -> str:
     """Render an AST in the grammar above with minimal parentheses."""
-    if isinstance(f, Const):
-        return "1" if f.value else "0"
-    if isinstance(f, Ref):
-        return f"x{f.var}"
-    if isinstance(f, Not):
-        arg = format_formula(f.arg)
-        if isinstance(f.arg, (And, Or, Xor)):
-            arg = f"({arg})"
-        return f"!{arg}"
-    op = {And: "&", Or: "|", Xor: "^"}[type(f)]
-    prec = _PREC[type(f)]
-    left = format_formula(f.left)
-    if isinstance(f.left, (And, Or, Xor)) and _PREC[type(f.left)] < prec:
-        left = f"({left})"
-    right = format_formula(f.right)
-    if isinstance(f.right, (And, Or, Xor)) and _PREC[type(f.right)] <= prec:
-        right = f"({right})"
-    return f"{left} {op} {right}"
+    texts: list[str] = []
+    for g in postorder(f):
+        t = type(g)
+        if t is Ref:
+            texts.append(f"x{g.var}")
+        elif t is Const:
+            texts.append("1" if g.value else "0")
+        elif t is Not:
+            texts[-1] = "!" + _grouped(texts[-1], g.arg, _NOT_PREC)
+        else:
+            token, prec = _SYMBOL[t]
+            # left-associative: a right operand of equal precedence is grouped
+            right = _grouped(texts.pop(), g.right, prec + 1)
+            texts[-1] = f"{_grouped(texts[-1], g.left, prec)} {token} {right}"
+    return texts[0]
 
 
 # ---------------------------------------------------------------------------
 # Compilation
-
-_BINOP_NAMES = {And: "and", Or: "or", Xor: "xor"}
+#
+# Both compilers look ``pure.<op>`` and the manager's methods up on every
+# call, so wrappers installed on either see each call.
 
 
 def compile_pure(
     f: Formula, st: pure.Store, fuel: Optional[int] = None
 ) -> tuple[NodeRef, pure.Store]:
     """Compile into the persistent store, threading it through."""
-    if isinstance(f, Const):
-        return (LEAF_TRUE if f.value else LEAF_FALSE), st
-    if isinstance(f, Ref):
-        return pure.mk_node(st, LEAF_FALSE, f.var, LEAF_TRUE)
-    if isinstance(f, Not):
-        ref, st = compile_pure(f.arg, st, fuel)
-        return pure.neg(st, ref, fuel)
-    op = _BINOP_NAMES.get(type(f))
-    if op is None:
-        raise TypeError(f"not a formula: {f!r}")
-    a, st = compile_pure(f.left, st, fuel)
-    b, st = compile_pure(f.right, st, fuel)
-    return pure.apply_binop(st, op, a, b, fuel)
+    refs: list[NodeRef] = []
+    for g in postorder(f):
+        t = type(g)
+        if t is Ref:
+            ref, st = pure.mk_node(st, LEAF_FALSE, g.var, LEAF_TRUE)
+        elif t is Not:
+            ref, st = pure.neg(st, refs.pop(), fuel)
+        elif t is Const:
+            ref = LEAF_TRUE if g.value else LEAF_FALSE
+        else:
+            b = refs.pop()
+            ref, st = pure.apply_binop(st, _OP_NAME[t], refs.pop(), b, fuel)
+        refs.append(ref)
+    return refs[0], st
 
 
 def compile_interned(f: Formula, m):
     """Compile into an interned manager, returning a handle."""
-    if isinstance(f, Const):
-        return m.constant(f.value)
-    if isinstance(f, Ref):
-        return m.node(f.var, m.false, m.true)
-    if isinstance(f, Not):
-        return m.neg(compile_interned(f.arg, m))
-    op = _BINOP_NAMES.get(type(f))
-    if op is None:
-        raise TypeError(f"not a formula: {f!r}")
-    return m.apply_binop(op, compile_interned(f.left, m), compile_interned(f.right, m))
-
-
-def compile_formula(f: Formula, backend: str, state):
-    """Uniform entry point: returns ``(result, state)`` for either backend.
-
-    ``backend`` is ``"pure"`` (state: Store) or ``"interned"`` (state: a
-    manager, returned as-is since it updates in place).
-    """
-    if backend == "pure":
-        return compile_pure(f, state)
-    if backend == "interned":
-        return compile_interned(f, state), state
-    raise ValueError(f"unknown backend {backend!r}")
+    handles = []
+    for g in postorder(f):
+        t = type(g)
+        if t is Ref:
+            handles.append(m.node(g.var, m.false, m.true))
+        elif t is Not:
+            handles[-1] = m.neg(handles[-1])
+        elif t is Const:
+            handles.append(m.constant(g.value))
+        else:
+            b = handles.pop()
+            handles[-1] = m.apply_binop(_OP_NAME[t], handles[-1], b)
+    return handles[0]
 
 
 # ---------------------------------------------------------------------------
 # Benchmark families
 
 
-def _conjoin(formulas: list[Formula]) -> Formula:
-    """Balanced conjunction; keeps compiled intermediate results small."""
-    if not formulas:
-        return Const(True)
-    layer = formulas
-    while len(layer) > 1:
-        nxt = [
-            And(layer[i], layer[i + 1]) if i + 1 < len(layer) else layer[i]
-            for i in range(0, len(layer), 2)
-        ]
-        layer = nxt
-    return layer[0]
+def _balanced(cls, formulas: list[Formula]) -> Formula:
+    """``cls`` (``And`` or ``Or``) of ``formulas`` as a balanced tree.
 
-
-def _disjoin(formulas: list[Formula]) -> Formula:
+    Adjacent items are paired, layer by layer, which keeps compiled
+    intermediate results small.  No items give the unit: true for ``And``,
+    false for ``Or``.
+    """
     if not formulas:
-        return Const(False)
+        return Const(cls is And)
     layer = formulas
     while len(layer) > 1:
         layer = [
-            Or(layer[i], layer[i + 1]) if i + 1 < len(layer) else layer[i]
+            cls(layer[i], layer[i + 1]) if i + 1 < len(layer) else layer[i]
             for i in range(0, len(layer), 2)
         ]
     return layer[0]
@@ -320,7 +306,7 @@ def queens_formula(n: int) -> Formula:
     cell = lambda r, c: Ref(queens_var(n, r, c))
     constraints: list[Formula] = []
     for r in range(1, n + 1):
-        constraints.append(_disjoin([cell(r, c) for c in range(1, n + 1)]))
+        constraints.append(_balanced(Or, [cell(r, c) for c in range(1, n + 1)]))
         for c1, c2 in itertools.combinations(range(1, n + 1), 2):
             constraints.append(Not(And(cell(r, c1), cell(r, c2))))
     for c in range(1, n + 1):
@@ -333,7 +319,7 @@ def queens_formula(n: int) -> Formula:
                 for c2 in (c1 - dr, c1 + dr):
                     if 1 <= c2 <= n:
                         constraints.append(Not(And(cell(r1, c1), cell(r2, c2))))
-    return _conjoin(constraints)
+    return _balanced(And, constraints)
 
 
 def queens_solution_count(n: int) -> int:
@@ -364,11 +350,11 @@ def pigeonhole_formula(holes: int) -> Formula:
     slot = lambda i, j: Ref((i - 1) * holes + j)
     constraints: list[Formula] = []
     for i in range(1, pigeons + 1):
-        constraints.append(_disjoin([slot(i, j) for j in range(1, holes + 1)]))
+        constraints.append(_balanced(Or, [slot(i, j) for j in range(1, holes + 1)]))
     for j in range(1, holes + 1):
         for i1, i2 in itertools.combinations(range(1, pigeons + 1), 2):
             constraints.append(Not(And(slot(i1, j), slot(i2, j))))
-    return _conjoin(constraints)
+    return _balanced(And, constraints)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from bddhc import cli, frontend, interned, oracle, pure
 from bddhc.core import LEAF_FALSE, LEAF_TRUE, BddError, Node
 from bddhc.cli import count_models, main
+from util import DEEP_FORMULAS
 
 
 @pytest.fixture
@@ -132,6 +133,28 @@ def test_check_crash_exits_2_not_a_verdict(formula_file, capsys, backend):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: RecursionError: ")
+
+
+@pytest.mark.parametrize("backend", ["pure", "interned"])
+@pytest.mark.parametrize(
+    "name, kind, verdict, code",
+    [
+        ("not10000", "taut", "not-taut", 1),
+        ("groups2000", "taut", "taut", 0),
+        ("or5000", "sat", "sat", 0),
+        ("xor5000", "sat", "unsat", 1),
+    ],
+)
+def test_check_deep_formula_gets_its_verdict(
+    formula_file, capsys, name, kind, verdict, code, backend
+):
+    # parsing and compiling keep their own stacks, so only the BDD's depth
+    # (at most four variables here) reaches the apply recursion
+    path = formula_file(frontend.format_formula(DEEP_FORMULAS[name]()))
+    assert main(["check", kind, path, "--backend", backend]) == code
+    captured = capsys.readouterr()
+    assert f" verdict={verdict} " in captured.out
+    assert captured.err == ""
 
 
 def test_check_missing_file(capsys):

@@ -7,7 +7,6 @@ from bddhc.core import (
     LEAF_TRUE,
     And,
     Const,
-    InvalidChild,
     Node,
     Not,
     Or,
@@ -15,13 +14,12 @@ from bddhc.core import (
     ValidationReport,
     VarOutOfRange,
     Xor,
-    check_ref,
     check_var,
     eval_formula,
     formula_max_var,
     formula_size,
-    leaf_of,
     node_should_collapse,
+    postorder,
     var,
 )
 
@@ -53,22 +51,12 @@ def test_ref_equality_is_equivalence(a, b, c):
 
 def test_leaf_truthiness():
     assert bool(LEAF_TRUE) and not bool(LEAF_FALSE)
-    assert leaf_of(True) is LEAF_TRUE
-    assert leaf_of(False) is LEAF_FALSE
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, "x", 1.5, None])
 def test_check_var_rejects(bad):
     with pytest.raises(VarOutOfRange):
         check_var(bad)
-
-
-def test_check_ref():
-    assert check_ref(LEAF_TRUE) is LEAF_TRUE
-    assert check_ref(5) == 5
-    for bad in (0, -2, True, "n", None):
-        with pytest.raises(InvalidChild):
-            check_ref(bad)
 
 
 def test_node_is_a_triple():
@@ -102,6 +90,14 @@ def test_formula_measures():
     assert formula_max_var(f) == 7
     assert formula_max_var(Const(True)) == 0
     assert formula_size(f) == 4
+
+
+def test_postorder_lists_operands_left_to_right_then_the_node():
+    a, b = Ref(1), Not(Ref(2))
+    f = Xor(And(a, b), Const(True))
+    assert postorder(f) == [a, Ref(2), b, And(a, b), Const(True), f]
+    with pytest.raises(TypeError, match="not a formula: 'x'"):
+        postorder(Or(Ref(1), "x"))
 
 
 def test_validation_report():

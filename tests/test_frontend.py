@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -15,9 +16,12 @@ from bddhc.core import (
     Ref,
     Xor,
     formula_max_var,
+    formula_size,
+    postorder,
 )
 from bddhc import frontend, interned, oracle, pure
 from bddhc.frontend import ParseError, VarIndexZero, parse
+from util import DEEP_FORMULAS
 
 
 # -- parsing ------------------------------------------------------------
@@ -96,6 +100,27 @@ def test_parse_error_reports_line():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("x1 & x\u00b2", 1, 6),  # superscript two: isdigit() but not int()
+        ("x\u0661", 1, 1),  # Arabic-Indic one: int() would read it as 1
+        ("x1 &\n x" + "1" * 5000, 2, 2),  # beyond int()'s digit limit
+    ],
+    ids=["superscript", "arabic-indic", "5000-digits"],
+)
+def test_parse_rejects_non_ascii_and_overlong_indices(text, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_parse_non_ascii_digit_after_index():
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse("x1\u0661")
+    assert exc.value.column == 3
+
+
 def test_parse_file(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("# file comment\nx1 ^ x2\n", encoding="utf-8")
@@ -133,6 +158,33 @@ def test_format_parse_round_trip(f):
     assert parse(frontend.format_formula(f)) == f
 
 
+def _shape(f):
+    # ``==`` on formulas recurses, so deep ones are compared by their
+    # post-order list, which determines the tree
+    return [(type(g), getattr(g, "var", None), getattr(g, "value", None))
+            for g in postorder(f)]
+
+
+# text prefix, AST size and largest variable of each deep formula
+DEEP = {
+    "not10000": ("!" * 10_000 + "x1", 10_001, 1),
+    "groups2000": ("1 & (" * 2000 + "x1 | !x1" + ")" * 2000, 2 * 2000 + 4, 1),
+    "or5000": ("x1 | x2 | x3 | x4 | x1 | x2", 9999, 4),
+    "xor5000": ("x1 ^ x2 ^ x3 ^ x4 ^ x1 ^ x2", 9999, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_formula_round_trip_and_measures(name):
+    prefix, size, max_var = DEEP[name]
+    f = DEEP_FORMULAS[name]()
+    text = frontend.format_formula(f)
+    assert text.startswith(prefix)
+    assert _shape(parse(text)) == _shape(f)
+    assert formula_size(f) == size
+    assert formula_max_var(f) == max_var
+
+
 # -- compilation -----------------------------------------------------------
 
 
@@ -156,6 +208,19 @@ def test_compile_not_x2_is_single_node():
     assert st.graph[ref] == Node(LEAF_TRUE, 2, LEAF_FALSE)
 
 
+@pytest.mark.parametrize(
+    "bad, leaf", [(And(Ref(1), "junk"), "junk"), (Not(None), None), (7, 7)]
+)
+def test_compile_rejects_non_formulas(bad, leaf):
+    message = re.escape(f"not a formula: {leaf!r}")
+    with pytest.raises(TypeError, match=message):
+        frontend.compile_pure(bad, pure.empty_store())
+    with pytest.raises(TypeError, match=message):
+        frontend.compile_interned(bad, interned.new_manager())
+    with pytest.raises(TypeError, match=message):
+        frontend.format_formula(bad)
+
+
 def test_compile_cnf_equals_conjunction():
     text = "(x1|x2) & (x1|!x2) & (!x1|x2)"
     st = pure.empty_store()
@@ -166,19 +231,6 @@ def test_compile_cnf_equals_conjunction():
     ha = frontend.compile_interned(parse(text), m)
     hb = frontend.compile_interned(parse("x1 & x2"), m)
     assert m.structural_eq(ha, hb)
-
-
-def test_compile_formula_dispatch():
-    f = parse("x1 | !x2")
-    ref, st = frontend.compile_formula(f, "pure", pure.empty_store())
-    m = interned.new_manager()
-    h, m2 = frontend.compile_formula(f, "interned", m)
-    assert m2 is m
-    assert oracle.tables_equal(
-        oracle.bdd_truth_table(ref, 2, store=st), oracle.bdd_truth_table(h, 2)
-    )
-    with pytest.raises(ValueError):
-        frontend.compile_formula(f, "zdd", None)
 
 
 @given(formula_strategy)

@@ -1,4 +1,4 @@
-"""Byte-for-byte pins of DOT text, serialized stores and bench rows.
+"""Byte-for-byte pins of DOT text, serialized stores, formula text and bench rows.
 
 Each expected value is the first 16 hex digits of the SHA-256 of the
 output, recorded before the graph walks were shared between the two
@@ -30,6 +30,12 @@ DOT = {
 
 STORE_TEXT = {"queens4": "f40c3ee7341aaf84", "random3": "258a36df773a365b"}
 
+# ``format_formula`` text, recorded before the formatter stopped recursing
+FORMULA_TEXT = {
+    "queens7": (lambda: frontend.queens_formula(7), "0fcc4d72a9974aa7"),
+    "random3": (FORMULAS["random3"], "35fa3b6c11348987"),
+}
+
 # ``bddhc bench queens --sizes 4..6 --kernel <k>``; the kernel is a column
 BENCH = {"python": "a642701bb1d4b877", "compiled": "50b189b4b16419d9"}
 
@@ -51,6 +57,12 @@ def test_dot_text(name, backend, tmp_path, capsys):
 def test_store_text(name):
     _, st = frontend.compile_pure(FORMULAS[name](), pure.empty_store())
     assert _digest(pure.store_to_text(st)) == STORE_TEXT[name]
+
+
+@pytest.mark.parametrize("name", sorted(FORMULA_TEXT))
+def test_formula_text(name):
+    build, digest = FORMULA_TEXT[name]
+    assert _digest(frontend.format_formula(build())) == digest
 
 
 def test_bench_rows(kernel, capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 
-from bddhc.core import LEAF_FALSE, LEAF_TRUE, Node
+from bddhc.core import LEAF_FALSE, LEAF_TRUE, And, Const, Node, Not, Or, Ref, Xor
 from bddhc import pure
 
 
@@ -83,3 +83,37 @@ def play_interned(m, ops, clear_between=False):
         else:
             handles.append(m.apply_binop(op[1], handles[op[2]], handles[op[3]]))
     return handles
+
+
+def _chain(op, terms):
+    # x1 op x2 op x3 op x4 op x1 ..., left-deep
+    f = Ref(1)
+    for i in range(1, terms):
+        f = op(f, Ref(i % 4 + 1))
+    return f
+
+
+def _nested_not(depth):
+    f = Ref(1)
+    for _ in range(depth):
+        f = Not(f)
+    return f
+
+
+def _nested_groups(depth):
+    # 1 & (1 & (... (x1 | !x1))): each group is a right operand, so the
+    # text nests ``depth`` parentheses and the AST is as deep
+    f = Or(Ref(1), Not(Ref(1)))
+    for _ in range(depth):
+        f = And(Const(True), f)
+    return f
+
+
+# Valid formulas far deeper than the interpreter's default recursion limit
+# allows a recursive walk, each with a BDD over at most four variables.
+DEEP_FORMULAS = {
+    "not10000": lambda: _nested_not(10_000),  # x1
+    "groups2000": lambda: _nested_groups(2000),  # true
+    "or5000": lambda: _chain(Or, 5000),  # x1 | x2 | x3 | x4
+    "xor5000": lambda: _chain(Xor, 5000),  # false: each variable 1250 times
+}
