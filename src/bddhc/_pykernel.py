@@ -14,11 +14,23 @@ then ``low``'s then ``high``'s variable order.  It runs them inline on
 else (bools, int subclasses, bad values, foreign or non-handle children)
 goes to the full ``check_var``/``_check_owned``.  The apply and negation
 recursions read ``uid``/``terminal``/``var`` into locals once and branch
-on the smaller top variable inline.  The three apply recursions stay
-separate (one folded recursion with a per-op dispatch measured slower),
-and they call ``self.node`` and ``self._neg_rec`` through the instance,
-so a wrapper set as an instance attribute (a tracer, say) sees every
-constructor call.
+on the smaller top variable inline.
+
+and/or/xor share one memoized Shannon expansion, ``_apply_rec(op, a, b)``.
+``op`` is the manager's record for that operation (``_Op``: its kind,
+memo table and hit/miss counters), looked up once by ``apply_binop``;
+the leaf rules read ``op.kind`` only when an operand is a leaf or both
+are the same node.  ``_neg_rec`` keeps its own recursion on the ``not``
+record, and ``stats``/``memo_entries``/``clear_caches``/``reset_stats``
+loop over the four records.  Against the three copied recursions this
+replaced, perfbench on a 2-vCPU VM (Python 3.11.7, 10 alternated pairs
+per workload) gave ``jobs_per_s.interned`` medians of 1.011 against
+1.036 on queens and 194 against 207 on equiv, each gap inside the
+older code's interquartile range (0.094 and 17).  Binding
+``self._apply_rec`` to a local per call measured slower and is not
+used.  The recursions call ``self.node`` and ``self._neg_rec`` through
+the instance, so a wrapper set as an instance attribute (a tracer, say)
+sees every constructor call.
 """
 from __future__ import annotations
 
@@ -61,6 +73,21 @@ class Handle:
         return f"<Handle {self.uid}: x{self.var} -> {self.low.uid}/{self.high.uid}>"
 
 
+class _Op:
+    """One memoized operation of a manager: its memo table and counters."""
+
+    __slots__ = ("kind", "memo", "hits", "misses")
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.memo: dict = {}
+        self.hits = self.misses = 0
+
+
+_BINOPS = ("and", "or", "xor")
+_OPS = ("not",) + _BINOPS
+
+
 class Manager:
     """Mutable pool of hash-consed BDD nodes with memoized operations.
 
@@ -78,10 +105,8 @@ class Manager:
     def __init__(self, reduce_nodes: bool = True):
         self.reduce_nodes = reduce_nodes
         self._unique: dict[tuple[int, int, int], Handle] = {}
-        self._not_cache: dict[int, Handle] = {}
-        self._and_cache: dict[tuple[int, int], Handle] = {}
-        self._or_cache: dict[tuple[int, int], Handle] = {}
-        self._xor_cache: dict[tuple[int, int], Handle] = {}
+        self._ops = {kind: _Op(kind) for kind in _OPS}
+        self._not = self._ops["not"]
         self.reset()
 
     # -- construction -------------------------------------------------
@@ -128,26 +153,23 @@ class Manager:
         if t >= 0:
             return self.false if t == 1 else self.true
         u = a.uid
-        found = self._not_cache.get(u)
+        op = self._not
+        found = op.memo.get(u)
         if found is not None:
-            self.not_hits += 1
+            op.hits += 1
             return found
-        self.not_misses += 1
+        op.misses += 1
         made = self.node(a.var, self._neg_rec(a.low), self._neg_rec(a.high))
-        self._not_cache[u] = made
+        op.memo[u] = made
         return made
 
     def apply_binop(self, op: str, a: Handle, b: Handle) -> Handle:
         """Pointwise and/or/xor via Shannon expansion, memoized on uid pairs."""
         self._check_owned(a)
         self._check_owned(b)
-        if op == "and":
-            return self._and_rec(a, b)
-        if op == "or":
-            return self._or_rec(a, b)
-        if op == "xor":
-            return self._xor_rec(a, b)
-        raise ValueError(f"unknown operation {op!r}")
+        if op not in _BINOPS:
+            raise ValueError(f"unknown operation {op!r}")
+        return self._apply_rec(self._ops[op], a, b)
 
     def conj(self, a: Handle, b: Handle) -> Handle:
         return self.apply_binop("and", a, b)
@@ -158,88 +180,47 @@ class Manager:
     def xor(self, a: Handle, b: Handle) -> Handle:
         return self.apply_binop("xor", a, b)
 
-    def _and_rec(self, a: Handle, b: Handle) -> Handle:
+    def _apply_rec(self, op: _Op, a: Handle, b: Handle) -> Handle:
         au, bu = a.uid, b.uid
         if au == bu:
-            return a
+            return self.false if op.kind == "xor" else a
         at, bt = a.terminal, b.terminal
         if at >= 0 or bt >= 0:
-            if at == 0 or bt == 0:
-                return self.false
-            return b if at == 1 else a
-        key = (au, bu)
-        found = self._and_cache.get(key)
-        if found is not None:
-            self.and_hits += 1
-            return found
-        self.and_misses += 1
-        av, bv = a.var, b.var
-        if av == bv:
-            made = self.node(
-                av, self._and_rec(a.low, b.low), self._and_rec(a.high, b.high)
-            )
-        elif av < bv:
-            made = self.node(av, self._and_rec(a.low, b), self._and_rec(a.high, b))
-        else:
-            made = self.node(bv, self._and_rec(a, b.low), self._and_rec(a, b.high))
-        self._and_cache[key] = made
-        return made
-
-    def _or_rec(self, a: Handle, b: Handle) -> Handle:
-        au, bu = a.uid, b.uid
-        if au == bu:
-            return a
-        at, bt = a.terminal, b.terminal
-        if at >= 0 or bt >= 0:
-            if at == 1 or bt == 1:
-                return self.true
-            return b if at == 0 else a
-        key = (au, bu)
-        found = self._or_cache.get(key)
-        if found is not None:
-            self.or_hits += 1
-            return found
-        self.or_misses += 1
-        av, bv = a.var, b.var
-        if av == bv:
-            made = self.node(
-                av, self._or_rec(a.low, b.low), self._or_rec(a.high, b.high)
-            )
-        elif av < bv:
-            made = self.node(av, self._or_rec(a.low, b), self._or_rec(a.high, b))
-        else:
-            made = self.node(bv, self._or_rec(a, b.low), self._or_rec(a, b.high))
-        self._or_cache[key] = made
-        return made
-
-    def _xor_rec(self, a: Handle, b: Handle) -> Handle:
-        au, bu = a.uid, b.uid
-        if au == bu:
-            return self.false
-        at, bt = a.terminal, b.terminal
-        if at >= 0 or bt >= 0:
+            kind = op.kind
+            if kind == "and":
+                if at == 0 or bt == 0:
+                    return self.false
+                return b if at == 1 else a
+            if kind == "or":
+                if at == 1 or bt == 1:
+                    return self.true
+                return b if at == 0 else a
+            # xor: false is its identity; against true it is negation,
+            # which the not-cache carries
             if at == 0:
                 return b
             if bt == 0:
                 return a
-            # xor against true is negation; the not-cache carries it
             return self._neg_rec(b) if at == 1 else self._neg_rec(a)
         key = (au, bu)
-        found = self._xor_cache.get(key)
+        found = op.memo.get(key)
         if found is not None:
-            self.xor_hits += 1
+            op.hits += 1
             return found
-        self.xor_misses += 1
+        op.misses += 1
         av, bv = a.var, b.var
         if av == bv:
-            made = self.node(
-                av, self._xor_rec(a.low, b.low), self._xor_rec(a.high, b.high)
-            )
+            low = self._apply_rec(op, a.low, b.low)
+            high = self._apply_rec(op, a.high, b.high)
         elif av < bv:
-            made = self.node(av, self._xor_rec(a.low, b), self._xor_rec(a.high, b))
+            low = self._apply_rec(op, a.low, b)
+            high = self._apply_rec(op, a.high, b)
         else:
-            made = self.node(bv, self._xor_rec(a, b.low), self._xor_rec(a, b.high))
-        self._xor_cache[key] = made
+            av = bv
+            low = self._apply_rec(op, a, b.low)
+            high = self._apply_rec(op, a, b.high)
+        made = self.node(av, low, high)
+        op.memo[key] = made
         return made
 
     # -- equality and inspection ---------------------------------------
@@ -260,41 +241,25 @@ class Manager:
         yield from list(self._unique.values())
 
     def stats(self) -> dict[str, int]:
-        return {
-            "intern_hits": self.intern_hits,
-            "intern_misses": self.intern_misses,
-            "not_hits": self.not_hits,
-            "not_misses": self.not_misses,
-            "and_hits": self.and_hits,
-            "and_misses": self.and_misses,
-            "or_hits": self.or_hits,
-            "or_misses": self.or_misses,
-            "xor_hits": self.xor_hits,
-            "xor_misses": self.xor_misses,
-        }
+        out = {"intern_hits": self.intern_hits, "intern_misses": self.intern_misses}
+        for op in self._ops.values():
+            out[f"{op.kind}_hits"] = op.hits
+            out[f"{op.kind}_misses"] = op.misses
+        return out
 
     def memo_entries(self) -> dict[str, dict]:
         """Live cache tables, keyed by operation.  Read-only use."""
-        return {
-            "not": self._not_cache,
-            "and": self._and_cache,
-            "or": self._or_cache,
-            "xor": self._xor_cache,
-        }
+        return {kind: op.memo for kind, op in self._ops.items()}
 
     def clear_caches(self) -> None:
         """Drop all memo tables (the pool is untouched)."""
-        self._not_cache.clear()
-        self._and_cache.clear()
-        self._or_cache.clear()
-        self._xor_cache.clear()
+        for op in self._ops.values():
+            op.memo.clear()
 
     def reset_stats(self) -> None:
         self.intern_hits = self.intern_misses = 0
-        self.not_hits = self.not_misses = 0
-        self.and_hits = self.and_misses = 0
-        self.or_hits = self.or_misses = 0
-        self.xor_hits = self.xor_misses = 0
+        for op in self._ops.values():
+            op.hits = op.misses = 0
 
     def reset(self) -> None:
         """Empty the pool and caches; previously issued handles are dead."""
@@ -312,6 +277,17 @@ class Manager:
             if tag is None:
                 raise InvalidChild(f"not a handle: {h!r}")
             raise ForeignHandle("handle belongs to a different manager")
+
+
+def _counter(kind: str, field: str) -> property:
+    return property(lambda m: getattr(m._ops[kind], field))
+
+
+# the per-operation counters stay readable as ``not_hits``, ``and_misses``, ...
+for _kind in _OPS:
+    setattr(Manager, f"{_kind}_hits", _counter(_kind, "hits"))
+    setattr(Manager, f"{_kind}_misses", _counter(_kind, "misses"))
+del _kind
 
 
 def uid(a: Handle) -> int:

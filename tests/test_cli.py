@@ -1,11 +1,14 @@
+import contextlib
+import io
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from bddhc import cli, frontend, interned, oracle, pure
 from bddhc.core import LEAF_FALSE, LEAF_TRUE, BddError, Node
 from bddhc.cli import count_models, main
-from util import DEEP_FORMULAS
+from util import DEEP_FORMULAS, formulas
 
 
 @pytest.fixture
@@ -124,15 +127,19 @@ def test_check_parse_error_exits_2(formula_file, capsys):
 
 
 @pytest.mark.parametrize("backend", ["pure", "interned"])
-def test_check_crash_exits_2_not_a_verdict(formula_file, capsys, backend):
-    # compiling a 2000-term left-deep chain overflows the interpreter stack;
-    # exit codes 0 and 1 are verdicts, so the crash must leave through 2
-    path = formula_file(" & ".join(f"x{i}" for i in range(1, 2001)))
+def test_check_crash_exits_2_not_a_verdict(formula_file, capsys, monkeypatch, backend):
+    # exit codes 0 and 1 are verdicts, so a crash while compiling (here a
+    # forced one, on either kernel) must leave through 2
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(frontend, "compile_pure", boom)
+    monkeypatch.setattr(frontend, "compile_interned", boom)
+    path = formula_file("x1 & x2")
     assert main(["check", "sat", path, "--backend", backend]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: RecursionError: ")
+    assert captured.err.splitlines() == ["error: RuntimeError: boom"]
 
 
 @pytest.mark.parametrize("backend", ["pure", "interned"])
@@ -155,6 +162,44 @@ def test_check_deep_formula_gets_its_verdict(
     captured = capsys.readouterr()
     assert f" verdict={verdict} " in captured.out
     assert captured.err == ""
+
+
+ORACLE_VARS = 6
+
+oracle_formulas = formulas(max_var=ORACLE_VARS, max_leaves=16)
+
+
+def _run_check(kind, paths, backend):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", kind, *paths, "--backend", backend])
+    assert err.getvalue() == ""
+    return code, out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_formulas, oracle_formulas)
+def test_check_verdicts_agree_with_the_oracle(tmp_path_factory, f, g):
+    """``bddhc check`` exits 0 or 1 only with the truth table's verdict."""
+    tables = [oracle.formula_truth_table(h, ORACLE_VARS) for h in (f, g)]
+    every = (1 << (1 << ORACLE_VARS)) - 1
+    directory = tmp_path_factory.mktemp("oracle")
+    paths = []
+    for name, h in (("f.txt", f), ("g.txt", g)):
+        path = directory / name
+        path.write_text(frontend.format_formula(h) + "\n", encoding="utf-8")
+        paths.append(str(path))
+    cases = [
+        ("taut", paths[:1], tables[0].bits == every),
+        ("sat", paths[:1], tables[0].bits != 0),
+        ("equiv", paths, oracle.tables_equal(*tables)),
+    ]
+    for kind, args, positive in cases:
+        verdict, code = cli._verdict_and_exit(kind, positive)
+        for backend in ("pure", "interned"):
+            got, out = _run_check(kind, args, backend)
+            assert got == code, (kind, backend, out)
+            assert f" verdict={verdict} " in out
 
 
 def test_check_missing_file(capsys):

@@ -4,6 +4,7 @@ The values were recorded before the pure backend's hot path was
 inlined.  Both backends must reproduce them, so they also pin that the
 backends count the same work.
 """
+import hashlib
 import random
 
 from bddhc import frontend, interned, pure
@@ -32,6 +33,11 @@ RANDOM_PAIR_XOR = {
     "nodes": 610,
     "memo": {"not": 149, "and": 307, "or": 242, "xor": 215},
 }
+
+# every ``node`` call of the Python kernel, in order, over queens 5, then
+# 200 random_formula(Random(5), max_var=8, max_depth=9), then the xor of
+# each consecutive pair of those 200, all in one manager
+NODE_CALL_LOG = {"calls": 56917, "sha256": "e6949eb908ac59c3"}
 
 
 def _random_pair():
@@ -106,3 +112,38 @@ def test_python_kernel_recursion_calls_instance_node_and_neg():
     frontend.compile_interned(frontend.queens_formula(5), m)
     assert calls == {"node": 6084, "neg": 160}
     assert m.stats() == QUEENS_5["stats"]
+
+
+def test_counter_attributes_match_stats(kernel):
+    m = interned.new_manager(kernel)
+    frontend.compile_interned(frontend.queens_formula(5), m)
+    assert {k: getattr(m, k) for k in m.stats()} == m.stats()
+
+
+def test_python_kernel_node_call_order_is_pinned():
+    """Uids and counters only pin totals; this pins each constructor call."""
+    m = interned.new_manager("python")
+    digest = hashlib.sha256()
+    calls = 0
+    node = m.node
+
+    def logged(var, low, high):
+        nonlocal calls
+        made = node(var, low, high)
+        digest.update(f"{var},{low.uid},{high.uid},{made.uid}\n".encode())
+        calls += 1
+        return made
+
+    m.node = logged
+    frontend.compile_interned(frontend.queens_formula(5), m)
+    rng = random.Random(5)
+    handles = [
+        frontend.compile_interned(
+            frontend.random_formula(rng, max_var=8, max_depth=9), m
+        )
+        for _ in range(200)
+    ]
+    for a, b in zip(handles, handles[1:]):
+        m.apply_binop("xor", a, b)
+    got = {"calls": calls, "sha256": digest.hexdigest()[:16]}
+    assert got == NODE_CALL_LOG

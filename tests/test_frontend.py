@@ -3,7 +3,6 @@ import re
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from bddhc.core import (
     LEAF_FALSE,
@@ -21,7 +20,7 @@ from bddhc.core import (
 )
 from bddhc import frontend, interned, oracle, pure
 from bddhc.frontend import ParseError, VarIndexZero, parse
-from util import DEEP_FORMULAS
+from util import DEEP_FORMULAS, formulas
 
 
 # -- parsing ------------------------------------------------------------
@@ -138,22 +137,7 @@ def test_format_examples():
     assert frontend.format_formula(Const(True)) == "1"
 
 
-formula_strategy = st.recursive(
-    st.one_of(
-        st.integers(1, 9).map(Ref),
-        st.sampled_from([Const(True), Const(False)]),
-    ),
-    lambda sub: st.one_of(
-        sub.map(Not),
-        st.tuples(sub, sub).map(lambda t: And(*t)),
-        st.tuples(sub, sub).map(lambda t: Or(*t)),
-        st.tuples(sub, sub).map(lambda t: Xor(*t)),
-    ),
-    max_leaves=20,
-)
-
-
-@given(formula_strategy)
+@given(formulas(max_var=9, max_leaves=20))
 def test_format_parse_round_trip(f):
     assert parse(frontend.format_formula(f)) == f
 
@@ -233,7 +217,7 @@ def test_compile_cnf_equals_conjunction():
     assert m.structural_eq(ha, hb)
 
 
-@given(formula_strategy)
+@given(formulas(max_var=9, max_leaves=20))
 def test_compile_round_trip_against_oracle(f):
     n = max(1, formula_max_var(f))
     if n > 9:

@@ -1,9 +1,17 @@
 import random
+import re
 
 import pytest
 
-from bddhc.core import ForeignHandle, InvalidChild, OrderViolation, VarOutOfRange
-from bddhc import frontend, interned, oracle
+from bddhc.core import (
+    LEAF_FALSE,
+    LEAF_TRUE,
+    ForeignHandle,
+    InvalidChild,
+    OrderViolation,
+    VarOutOfRange,
+)
+from bddhc import frontend, interned, oracle, pure
 from bddhc._pykernel import Handle as PyHandle, Manager as PyManager
 
 from util import gen_trace, play_interned
@@ -213,6 +221,23 @@ def test_binop_unknown_op(manager):
         manager.apply_binop("implies", manager.true, manager.true)
 
 
+@pytest.mark.parametrize("op", ["nand", "AND", None, ["and"]])
+@pytest.mark.parametrize("backend", ["pure", *interned.available_kernels()])
+def test_binop_rejects_unknown_name(backend, op):
+    # an unhashable name must not leak a TypeError out of the dispatch
+    message = re.escape(f"unknown operation {op!r}")
+    if backend == "pure":
+        st = pure.empty_store()
+        a, st = pure.mk_node(st, LEAF_FALSE, 1, LEAF_TRUE)
+        with pytest.raises(ValueError, match=message):
+            pure.apply_binop(st, op, a, a)
+    else:
+        m = interned.new_manager(backend)
+        a = m.node(1, m.false, m.true)
+        with pytest.raises(ValueError, match=message):
+            m.apply_binop(op, a, a)
+
+
 def test_binop_miss_count_bounded(manager):
     rng = random.Random(6)
     for _ in range(30):
@@ -273,7 +298,7 @@ def test_validate_detects_duplicate_pool_shapes():
 
 def test_validate_detects_dead_cache_entries():
     m = PyManager()
-    m._not_cache[123] = m.true
+    m.memo_entries()["not"][123] = m.true
     assert "cache-liveness" in interned.validate_manager(m).codes()
 
 
@@ -281,7 +306,7 @@ def test_validate_detects_wrong_cache_semantics():
     m = PyManager()
     a = m.node(1, m.false, m.true)
     b = m.node(2, m.false, m.true)
-    m._and_cache[(a.uid, b.uid)] = m.true
+    m.memo_entries()["and"][(a.uid, b.uid)] = m.true
     assert interned.validate_manager(m).ok
     report = interned.validate_manager(m, check_cache_semantics=True)
     assert "cache-semantics" in report.codes()

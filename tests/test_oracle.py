@@ -15,7 +15,7 @@ from bddhc.core import (
 from bddhc import frontend, interned, oracle, pure
 from bddhc.oracle import TruthTable, assignment_for
 
-from util import ascending_chain_store
+from util import ascending_chain_store, formulas
 
 
 def test_assignment_encoding_is_little_endian():
@@ -126,22 +126,7 @@ def test_table_bounds():
         TruthTable(1, 0b01).value(2)
 
 
-formula_strategy = st.recursive(
-    st.one_of(
-        st.integers(1, 4).map(Ref),
-        st.sampled_from([Const(True), Const(False)]),
-    ),
-    lambda sub: st.one_of(
-        sub.map(Not),
-        st.tuples(sub, sub).map(lambda t: t[0] & t[1]),
-        st.tuples(sub, sub).map(lambda t: t[0] | t[1]),
-        st.tuples(sub, sub).map(lambda t: t[0] ^ t[1]),
-    ),
-    max_leaves=12,
-)
-
-
-@given(formula_strategy)
+@given(formulas(max_var=4, max_leaves=12))
 def test_compiled_bdds_match_formula_tables(f):
     n = 4
     want = oracle.formula_truth_table(f, n)

@@ -1,7 +1,10 @@
-"""Shared test machinery: reference stores and random operation traces."""
+"""Shared test machinery: reference stores, random operation traces and
+formula strategies."""
 from __future__ import annotations
 
 import random
+
+from hypothesis import strategies as st
 
 from bddhc.core import LEAF_FALSE, LEAF_TRUE, And, Const, Node, Not, Or, Ref, Xor
 from bddhc import pure
@@ -18,6 +21,23 @@ def ascending_chain_store():
         3: Node(LEAF_FALSE, 3, LEAF_TRUE),
     }
     return pure.store_from_parts(graph)
+
+
+def formulas(max_var: int, max_leaves: int):
+    """Hypothesis strategy for formulas over ``x1..x{max_var}``."""
+    return st.recursive(
+        st.one_of(
+            st.integers(1, max_var).map(Ref),
+            st.sampled_from([Const(True), Const(False)]),
+        ),
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.tuples(sub, sub).map(lambda t: And(*t)),
+            st.tuples(sub, sub).map(lambda t: Or(*t)),
+            st.tuples(sub, sub).map(lambda t: Xor(*t)),
+        ),
+        max_leaves=max_leaves,
+    )
 
 
 def gen_trace(rng: random.Random, length: int, max_var: int = 4) -> list[tuple]:
