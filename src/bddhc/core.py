@@ -119,9 +119,42 @@ class Formula:
     Connectives are provided both as constructors (`Not`, `And`, `Or`,
     `Xor`) and as operators (``~``, ``&``, ``|``, ``^``) for readable
     formula-building code.
+
+    ``==``, ``hash`` and ``repr`` give what the dataclass-generated
+    methods give, but walk the tree with an explicit stack, so a formula
+    of any depth costs no interpreter frames.  Two formulas are equal
+    when they have the same class at every position and equal leaf fields
+    (so ``Const(1) == Const(True)``).
     """
 
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return _shape(self) == _shape(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_shape(self)))
+
+    def __repr__(self) -> str:
+        # text comes out root first, so this walk does not use ``postorder``;
+        # a field that is not a formula is shown by its own ``repr``
+        out = []
+        todo = [self]
+        while todo:
+            g = todo.pop()
+            if type(g) is str:
+                out.append(g)
+                continue
+            out.append(type(g).__name__ + "(")
+            todo.append(")")
+            names = type(g).__slots__  # the dataclass fields, in order
+            for i in reversed(range(len(names))):
+                value = getattr(g, names[i])
+                todo.append(value if isinstance(value, Formula) else repr(value))
+                todo.append((", " if i else "") + names[i] + "=")
+        return "".join(out)
 
     def __invert__(self) -> "Formula":
         return Not(self)
@@ -136,12 +169,12 @@ class Formula:
         return Xor(self, other)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Const(Formula):
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Ref(Formula):
     var: int
 
@@ -149,24 +182,24 @@ class Ref(Formula):
         check_var(self.var)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Xor(Formula):
     left: Formula
     right: Formula
@@ -223,6 +256,18 @@ def postorder(f: Formula) -> list[Formula]:
             raise TypeError(f"not a formula: {g!r}")
     # ``out`` lists each node before its right subtree, then its left one
     out.reverse()
+    return out
+
+
+def _shape(f: Formula) -> list[tuple]:
+    """Class and leaf field of each occurrence in ``f``, in post-order.
+
+    The arity of each class is fixed, so this list determines the tree.
+    """
+    out = []
+    for g in postorder(f):
+        t = type(g)
+        out.append((t, g.var if t is Ref else g.value if t is Const else None))
     return out
 
 

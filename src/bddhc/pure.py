@@ -12,7 +12,7 @@ A store is a small immutable record pointing into an append-only arena:
 
 * ``cells`` -- list of decision nodes; node id ``i`` lives at ``cells[i-1]``.
 * ``hmap``  -- dict from node triple to its id (the hash-consing map).
-* four memo dicts for not/and/or/xor results.
+* one memo dict per operation; ``_MEMO_TABLES`` lists them.
 
 A store value carries ``count`` (how many arena slots it can see) and
 ``next`` (the next fresh id).  Extending the newest version appends in
@@ -20,6 +20,13 @@ place, O(1); extending any older version first clones its visible prefix,
 so earlier versions are never disturbed.  Entries added by newer versions
 have ids ``>= next`` of every older version and are filtered out of the
 older versions' views, which is what makes sharing sound.
+
+That visibility rule (a leaf, or an id ``<= count`` or ``< next``) is
+written once, in ``_visible``.  ``GraphView`` shows a version's cells and
+``TableView`` the entries of the hmap or of one memo table whose value
+and key ids the version sees; each view's ``snapshot()`` returns them as
+a plain dict, and cloning, validation and serialization read the store
+through it.
 
 Code that only reads a finished diagram (size, denotation, the memo
 semantics check, the oracle, model counting, mirroring into a manager)
@@ -35,7 +42,8 @@ visibility of hash-consing and memo entries, each with its own exception
 and message.  They run inline on locals read once per call, with a
 ``type(x) is int`` fast test that falls back to the full test for
 anything else (bools, int subclasses, bad values), because the call
-overhead of small helpers costs more than the checks themselves.
+overhead of small helpers costs more than the checks themselves; for
+that reason the hash-consing and memo hits repeat ``_visible`` inline.
 ``core.Leaf`` hashes by identity, so hashing a node triple with a leaf
 child stays in C.  The recursions call ``mk_node`` and ``_neg_rec``
 through the module globals, so a wrapper installed on this module (a
@@ -50,8 +58,9 @@ Serialization
     <id> <low> <var> <high>
 
 with one record per node in increasing id order; ``<low>``/``<high>`` are
-``T``, ``F`` or a decimal node id.  Memo tables are caches and are not
-serialized.  Loading rebuilds the inverse map mechanically, so a corrupt
+``T``, ``F`` or a node id.  Every number is ASCII decimal, so ``+1``,
+``1_0`` or another script's digits fail to load.  Memo tables are caches
+and are not serialized.  Loading rebuilds the inverse map mechanically, so a corrupt
 file yields a store whose defects ``validate_store`` reports rather than
 an import error.
 """
@@ -78,22 +87,26 @@ from .core import (
     node_should_collapse,
 )
 
-_BINOPS = ("and", "or", "xor")
+# operation -> (``_Shared`` attribute, key arity) of each memo table, in the
+# order validation reports them; binary keys are id pairs, ``not`` keys one id
+_MEMO_TABLES = {
+    "and": ("mand", 2),
+    "or": ("mor", 2),
+    "xor": ("mxor", 2),
+    "not": ("mneg", 1),
+}
 
 # memo table attribute of ``_Shared`` and the hit/miss counter keys, per op
-_BINOP_KEYS = {op: ("m" + op, op + "_hits", op + "_misses") for op in _BINOPS}
+_BINOP_KEYS = {
+    op: (attr, op + "_hits", op + "_misses")
+    for op, (attr, arity) in _MEMO_TABLES.items()
+    if arity == 2
+}
+_BINOPS = tuple(_BINOP_KEYS)
 
-_STAT_KEYS = (
-    "intern_hits",
-    "intern_misses",
-    "not_hits",
-    "not_misses",
-    "and_hits",
-    "and_misses",
-    "or_hits",
-    "or_misses",
-    "xor_hits",
-    "xor_misses",
+# interning first, then the operations in the Python kernel's order
+_STAT_KEYS = tuple(
+    f"{op}_{kind}" for op in ("intern", "not", *_BINOPS) for kind in ("hits", "misses")
 )
 
 
@@ -109,24 +122,28 @@ class _Shared:
     are only guaranteed exact under single-threaded use.
     """
 
-    __slots__ = ("cells", "hmap", "mand", "mor", "mxor", "mneg", "tip", "lock", "stats")
+    __slots__ = (
+        "cells", "hmap", *(attr for attr, _ in _MEMO_TABLES.values()),
+        "tip", "lock", "stats",
+    )
 
     def __init__(self) -> None:
         self.cells: list[Optional[Node]] = []
         self.hmap: dict[Node, int] = {}
-        self.mand: dict[tuple[int, int], NodeRef] = {}
-        self.mor: dict[tuple[int, int], NodeRef] = {}
-        self.mxor: dict[tuple[int, int], NodeRef] = {}
-        self.mneg: dict[int, NodeRef] = {}
+        for attr, _ in _MEMO_TABLES.values():
+            setattr(self, attr, {})
         self.tip = 0
         self.lock = threading.Lock()
         self.stats = dict.fromkeys(_STAT_KEYS, 0)
 
 
-def _ref_visible(ref: NodeRef, count: int, nxt: int) -> bool:
-    if isinstance(ref, Leaf):
-        return True
-    return ref <= count or ref < nxt
+def _visible(ref: NodeRef, count: int, nxt: int) -> bool:
+    """Whether a version with ``count`` slots and next id ``nxt`` sees ``ref``.
+
+    Leaves are always visible.  This is the rule every view applies; the
+    hot path spells it out inline.
+    """
+    return type(ref) is Leaf or ref <= count or ref < nxt
 
 
 class Store(NamedTuple):
@@ -147,8 +164,8 @@ class Store(NamedTuple):
         return GraphView(self)
 
     @property
-    def hmap(self) -> "HmapView":
-        return HmapView(self)
+    def hmap(self) -> "TableView":
+        return TableView(self, self.shared.hmap, 0)
 
     @property
     def memo(self) -> "MemoView":
@@ -175,81 +192,69 @@ class GraphView(Mapping):
         raise KeyError(node_id)
 
     def __iter__(self) -> Iterator[int]:
-        st = self._st
-        for i in range(st.count):
-            if st.shared.cells[i] is not None:
-                yield i + 1
+        return iter(self.snapshot())
 
     def __len__(self) -> int:
-        return node_count(self._st)
-
-
-class HmapView(Mapping):
-    """Read-only Node -> id mapping for one store version."""
-
-    __slots__ = ("_st",)
-
-    def __init__(self, st: Store) -> None:
-        self._st = st
-
-    def __getitem__(self, node: Node) -> int:
         st = self._st
-        node_id = st.shared.hmap.get(node)
-        if node_id is None or not (node_id <= st.count or node_id < st.next):
-            raise KeyError(node)
-        return node_id
+        return st.count - st.shared.cells[: st.count].count(None)
 
-    def __iter__(self) -> Iterator[Node]:
+    def snapshot(self) -> dict[int, Node]:
+        """The visible cells as a plain id -> Node dict, in id order."""
         st = self._st
-        for node, node_id in st.shared.hmap.copy().items():
-            if node_id <= st.count or node_id < st.next:
-                yield node
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
+        cells = st.shared.cells[: st.count]
+        return {i: node for i, node in enumerate(cells, 1) if node is not None}
 
 
-class _MemoTableView(Mapping):
-    __slots__ = ("_st", "_table", "_arity")
+class TableView(Mapping):
+    """Read-only view of one arena dict table for one store version.
+
+    ``hmap`` maps nodes to ids (key arity 0); a memo table maps one id
+    (arity 1) or a pair of ids (arity 2) to a result.  An entry is visible
+    when its value and its key's ids are.
+    """
+
+    __slots__ = ("_table", "_arity", "_count", "_next")
 
     def __init__(self, st: Store, table: dict, arity: int) -> None:
-        self._st = st
         self._table = table
         self._arity = arity
+        self._count = st.count
+        self._next = st.next
 
-    def _visible(self, key, value) -> bool:
-        st = self._st
-        ids = key if self._arity == 2 else (key,)
-        for i in ids:
-            if not _ref_visible(i, st.count, st.next):
-                return False
-        return _ref_visible(value, st.count, st.next)
+    def _shows(self, key, value) -> bool:
+        count, nxt = self._count, self._next
+        if not _visible(value, count, nxt):
+            return False
+        if self._arity == 2:
+            return _visible(key[0], count, nxt) and _visible(key[1], count, nxt)
+        return self._arity == 0 or _visible(key, count, nxt)
 
     def __getitem__(self, key):
         value = self._table[key]
-        if not self._visible(key, value):
+        if not self._shows(key, value):
             raise KeyError(key)
         return value
 
-    def __iter__(self):
-        for key, value in self._table.copy().items():
-            if self._visible(key, value):
-                yield key
+    def __iter__(self) -> Iterator:
+        return iter(self.snapshot())
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        return len(self.snapshot())
+
+    def snapshot(self) -> dict:
+        """The visible entries as a plain dict, in insertion order."""
+        shows = self._shows
+        return {k: v for k, v in self._table.copy().items() if shows(k, v)}
 
 
 class MemoView:
-    """Per-version views of the four memo tables."""
+    """Per-version views of the memo tables, one attribute per table."""
 
-    __slots__ = ("mand", "mor", "mxor", "mneg")
+    __slots__ = tuple(attr for attr, _ in _MEMO_TABLES.values())
 
     def __init__(self, st: Store) -> None:
-        self.mand = _MemoTableView(st, st.shared.mand, 2)
-        self.mor = _MemoTableView(st, st.shared.mor, 2)
-        self.mxor = _MemoTableView(st, st.shared.mxor, 2)
-        self.mneg = _MemoTableView(st, st.shared.mneg, 1)
+        for attr, arity in _MEMO_TABLES.values():
+            setattr(self, attr, TableView(st, getattr(st.shared, attr), arity))
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +292,18 @@ def store_from_parts(
     max_id = max(graph, default=0)
     if hmap is None:
         hmap = {node: node_id for node_id, node in graph.items()}
-    mentioned = [max_id]
-    mentioned += [node_id for node_id in hmap.values()]
     if next_id is None:
-        next_id = max(mentioned, default=0) + 1
+        next_id = max([max_id, *hmap.values()]) + 1
     sh.cells = [None] * max_id
     for node_id, node in graph.items():
         if node_id < 1:
             raise BddError(f"graph ids must be positive, got {node_id}")
         sh.cells[node_id - 1] = node
     sh.hmap = dict(hmap)
-    sh.mand = dict(memo_and or {})
-    sh.mor = dict(memo_or or {})
-    sh.mxor = dict(memo_xor or {})
-    sh.mneg = dict(memo_neg or {})
+    # the memo keywords come in ``_MEMO_TABLES`` order
+    memo = (memo_and, memo_or, memo_xor, memo_neg)
+    for (attr, _), table in zip(_MEMO_TABLES.values(), memo):
+        setattr(sh, attr, dict(table or {}))
     sh.tip = max_id
     max_var = max((n.var for n in graph.values()), default=0)
     return Store(sh, max_id, next_id, max_var, reduce_nodes)
@@ -318,29 +321,15 @@ def clear_memo(st: Store) -> Store:
 
 def _clone_shared(st: Store, copy_memo: bool = True) -> _Shared:
     """Private copy of the prefix of the arena that ``st`` can see."""
-    old = st.shared
     sh = _Shared()
-    cnt, nxt = st.count, st.next
-    sh.cells = old.cells[:cnt]
-    sh.hmap = {n: i for n, i in old.hmap.copy().items() if i <= cnt or i < nxt}
+    sh.cells = st.shared.cells[: st.count]
+    sh.hmap = st.hmap.snapshot()
     if copy_memo:
-        for name in ("mand", "mor", "mxor"):
-            src = getattr(old, name).copy()
-            dst = {
-                k: v
-                for k, v in src.items()
-                if _ref_visible(k[0], cnt, nxt)
-                and _ref_visible(k[1], cnt, nxt)
-                and _ref_visible(v, cnt, nxt)
-            }
-            setattr(sh, name, dst)
-        sh.mneg = {
-            k: v
-            for k, v in old.mneg.copy().items()
-            if _ref_visible(k, cnt, nxt) and _ref_visible(v, cnt, nxt)
-        }
-    sh.stats = old.stats.copy()
-    sh.tip = cnt
+        memo = st.memo
+        for attr, _ in _MEMO_TABLES.values():
+            setattr(sh, attr, getattr(memo, attr).snapshot())
+    sh.stats = st.shared.stats.copy()
+    sh.tip = st.count
     return sh
 
 
@@ -356,8 +345,7 @@ def store_stats(st: Store) -> dict[str, int]:
 
 def node_count(st: Store) -> int:
     """Number of decision nodes visible in this store version."""
-    cells = st.shared.cells
-    return sum(1 for i in range(st.count) if cells[i] is not None)
+    return len(st.graph)
 
 
 def default_fuel(st: Store) -> int:
@@ -597,7 +585,7 @@ def validate_store(st: Store, check_memo_semantics: bool = False) -> ValidationR
     involved, so it only runs on request.
     """
     report = ValidationReport()
-    graph = dict(_graph_items(st))
+    graph = st.graph.snapshot()
     nxt = st.next
 
     for node_id, node in graph.items():
@@ -633,8 +621,7 @@ def validate_store(st: Store, check_memo_semantics: bool = False) -> ValidationR
                     f"labeled x{child_node.var}",
                 )
 
-    hmap_items = list(_hmap_items(st))
-    hmap = dict(hmap_items)
+    hmap = st.hmap.snapshot()
     for node_id, node in graph.items():
         if hmap.get(node) != node_id:
             report.add(
@@ -642,7 +629,7 @@ def validate_store(st: Store, check_memo_semantics: bool = False) -> ValidationR
                 f"graph has {node_id} -> {node}, but hmap maps that node to "
                 f"{hmap.get(node)}",
             )
-    for node, node_id in hmap_items:
+    for node, node_id in hmap.items():
         if graph.get(node_id) != node:
             report.add(
                 "left-inverse",
@@ -657,15 +644,9 @@ def validate_store(st: Store, check_memo_semantics: bool = False) -> ValidationR
             report.add("no-duplicates", f"node {node} allocated at ids {sorted(ids)}")
 
     memo = st.memo
-    for name, table, arity in (
-        ("mand", memo.mand, 2),
-        ("mor", memo.mor, 2),
-        ("mxor", memo.mxor, 2),
-        ("mneg", memo.mneg, 1),
-    ):
-        for key in table:
+    for name, arity in _MEMO_TABLES.values():
+        for key, value in getattr(memo, name).snapshot().items():
             ids = key if arity == 2 else (key,)
-            value = table[key]
             for i in ids:
                 if i not in graph:
                     report.add(
@@ -684,31 +665,16 @@ def validate_store(st: Store, check_memo_semantics: bool = False) -> ValidationR
 def _check_memo_semantics(st: Store, report: ValidationReport) -> None:
     memo = st.memo
     entries = [
-        (op, key, value)
-        for op, table in (("and", memo.mand), ("or", memo.mor), ("xor", memo.mxor))
-        for key, value in table.items()
+        (op, key if arity == 2 else (key,), value)
+        for op, (attr, arity) in _MEMO_TABLES.items()
+        for key, value in getattr(memo, attr).snapshot().items()
     ]
-    entries += [("not", (a,), value) for a, value in memo.mneg.items()]
     for op, operands, value, assignment in graph.memo_faults(entries, expander(st)):
-        if op == "not":
-            where = f"mneg[{operands[0]}]"
-        else:
-            where = f"m{op}[({operands[0]}, {operands[1]})]"
-        report.add("memo-semantics", f"{where} = {value!r} is wrong under {assignment}")
-
-
-def _graph_items(st: Store) -> Iterator[tuple[int, Node]]:
-    cells = st.shared.cells
-    for i in range(st.count):
-        node = cells[i]
-        if node is not None:
-            yield i + 1, node
-
-
-def _hmap_items(st: Store) -> Iterator[tuple[Node, int]]:
-    for node, node_id in st.shared.hmap.copy().items():
-        if node_id <= st.count or node_id < st.next:
-            yield node, node_id
+        attr, arity = _MEMO_TABLES[op]
+        key = operands if arity == 2 else operands[0]
+        report.add(
+            "memo-semantics", f"{attr}[{key}] = {value!r} is wrong under {assignment}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -723,15 +689,23 @@ def _ref_token(ref: NodeRef) -> str:
     return str(ref)
 
 
+def _parse_int(token: str) -> Optional[int]:
+    """``token`` as an ASCII decimal number with an optional ``-``, else None.
+
+    ``int`` alone would also take ``+1``, ``1_0`` and non-ASCII digits.
+    """
+    digits = token[1:] if token.startswith("-") else token
+    return int(token) if digits.isascii() and digits.isdigit() else None
+
+
 def _parse_ref(token: str, lineno: int) -> NodeRef:
     if token == "T":
         return LEAF_TRUE
     if token == "F":
         return LEAF_FALSE
-    try:
-        value = int(token)
-    except ValueError:
-        raise BddError(f"line {lineno}: bad node reference {token!r}") from None
+    value = _parse_int(token)
+    if value is None:
+        raise BddError(f"line {lineno}: bad node reference {token!r}")
     if value < 1:
         raise BddError(f"line {lineno}: node ids must be positive, got {value}")
     return value
@@ -740,7 +714,7 @@ def _parse_ref(token: str, lineno: int) -> NodeRef:
 def store_to_text(st: Store) -> str:
     """Serialize the visible graph in the line format described above."""
     lines = ["bddhc-store 1", f"next {st.next}"]
-    for node_id, node in _graph_items(st):
+    for node_id, node in st.graph.snapshot().items():
         lines.append(
             f"{node_id} {_ref_token(node.low)} {node.var} {_ref_token(node.high)}"
         )
@@ -754,10 +728,10 @@ def store_from_text(text: str) -> Store:
         raise BddError("line 1: expected header 'bddhc-store 1'")
     if len(lines) < 2 or not lines[1].strip().startswith("next "):
         raise BddError("line 2: expected 'next <id>'")
-    try:
-        next_id = int(lines[1].split()[1])
-    except (IndexError, ValueError):
-        raise BddError("line 2: expected 'next <id>'") from None
+    fields = lines[1].split()
+    next_id = _parse_int(fields[1]) if len(fields) == 2 else None
+    if next_id is None:
+        raise BddError("line 2: expected 'next <id>'")
     if next_id < 1:
         raise BddError("line 2: next must be positive")
     graph: dict[int, Node] = {}
@@ -773,10 +747,9 @@ def store_from_text(text: str) -> Store:
             raise BddError(f"line {lineno}: record id must be a number")
         low = _parse_ref(fields[1], lineno)
         high = _parse_ref(fields[3], lineno)
-        try:
-            var = int(fields[2])
-        except ValueError:
-            raise BddError(f"line {lineno}: bad variable {fields[2]!r}") from None
+        var = _parse_int(fields[2])
+        if var is None:
+            raise BddError(f"line {lineno}: bad variable {fields[2]!r}")
         if var < 1:
             raise BddError(f"line {lineno}: variables are 1-based, got {var}")
         if node_id in graph:

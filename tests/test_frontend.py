@@ -16,7 +16,6 @@ from bddhc.core import (
     Xor,
     formula_max_var,
     formula_size,
-    postorder,
 )
 from bddhc import frontend, interned, oracle, pure
 from bddhc.frontend import ParseError, VarIndexZero, parse
@@ -142,13 +141,6 @@ def test_format_parse_round_trip(f):
     assert parse(frontend.format_formula(f)) == f
 
 
-def _shape(f):
-    # ``==`` on formulas recurses, so deep ones are compared by their
-    # post-order list, which determines the tree
-    return [(type(g), getattr(g, "var", None), getattr(g, "value", None))
-            for g in postorder(f)]
-
-
 # text prefix, AST size and largest variable of each deep formula
 DEEP = {
     "not10000": ("!" * 10_000 + "x1", 10_001, 1),
@@ -158,15 +150,47 @@ DEEP = {
 }
 
 
+def _chain_repr(name, terms):
+    right = "".join(f", right=Ref(var={i % 4 + 1}))" for i in range(1, terms))
+    return f"{name}(left=" * (terms - 1) + "Ref(var=1)" + right
+
+
+DEEP_REPR = {
+    "not10000": "Not(arg=" * 10_000 + "Ref(var=1)" + ")" * 10_000,
+    "groups2000": "And(left=Const(value=True), right=" * 2000
+    + "Or(left=Ref(var=1), right=Not(arg=Ref(var=1)))"
+    + ")" * 2000,
+    "or5000": _chain_repr("Or", 5000),
+    "xor5000": _chain_repr("Xor", 5000),
+}
+
+
 @pytest.mark.parametrize("name", sorted(DEEP))
 def test_deep_formula_round_trip_and_measures(name):
     prefix, size, max_var = DEEP[name]
     f = DEEP_FORMULAS[name]()
     text = frontend.format_formula(f)
     assert text.startswith(prefix)
-    assert _shape(parse(text)) == _shape(f)
+    g = parse(text)
+    assert g == f and not g != f
+    assert hash(g) == hash(f)
+    assert repr(g) == repr(f) == DEEP_REPR[name]
     assert formula_size(f) == size
     assert formula_max_var(f) == max_var
+
+
+def test_formula_repr_equality_and_hash():
+    # ``repr`` text as the dataclass-generated method printed it
+    assert repr(Not(Ref(1))) == "Not(arg=Ref(var=1))"
+    assert repr(Xor(Ref(3), Const(0))) == "Xor(left=Ref(var=3), right=Const(value=0))"
+    assert repr(And(Or(Ref(1), Const(True)), Not(Ref(2)))) == (
+        "And(left=Or(left=Ref(var=1), right=Const(value=True)), "
+        "right=Not(arg=Ref(var=2)))"
+    )
+    assert Const(1) == Const(True) and hash(Const(1)) == hash(Const(True))
+    assert And(Ref(1), Ref(2)) != Or(Ref(1), Ref(2))
+    assert Not(Ref(1)) != Not(Ref(2)) and Not(Ref(1)) != Ref(1)
+    assert Ref(1).__eq__(1) is NotImplemented and Ref(1) != 1
 
 
 # -- compilation -----------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from bddhc import frontend, pure
 from bddhc.cli import main
+from bddhc.core import LEAF_FALSE, LEAF_TRUE, Leaf
 
 FORMULAS = {
     "queens4": lambda: frontend.queens_formula(4),
@@ -38,6 +39,10 @@ FORMULA_TEXT = {
 
 # ``bddhc bench queens --sizes 4..6 --kernel <k>``; the kernel is a column
 BENCH = {"python": "a642701bb1d4b877", "compiled": "50b189b4b16419d9"}
+
+# every view of every version of ``_version_tree()``, recorded before the
+# store's hmap and memo views became one class
+VERSION_TREE = "f5db3e97caf0eed5"
 
 
 def _digest(text):
@@ -75,3 +80,47 @@ def test_bench_rows(kernel, capsys):
         del fields[4]  # wall_s
         rows.append(",".join(fields))
     assert _digest("\n".join(rows) + "\n") == BENCH[kernel]
+
+
+def _version_tree():
+    """About 60 store versions grown from random earlier ones.
+
+    Extending a version that is not its arena's tip forks the arena with
+    its memo tables, so later versions share, fork and outgrow earlier
+    ones; ``clear_memo`` versions fork without memo.
+    """
+    rng = random.Random(8)
+    versions = [(pure.empty_store(), [LEAF_FALSE, LEAF_TRUE])]
+    for _ in range(60):
+        st, refs = versions[-1] if rng.random() < 0.6 else rng.choice(versions)
+        step = rng.random()
+        if step < 0.05:
+            versions.append((pure.clear_memo(st), refs))
+            continue
+        if step < 0.45:
+            var = rng.randint(1, 6)
+            below = [
+                r for r in refs if isinstance(r, Leaf) or st.graph[r].var > var
+            ]
+            ref, st = pure.mk_node(st, rng.choice(below), var, rng.choice(below))
+        elif step < 0.6:
+            ref, st = pure.neg(st, rng.choice(refs))
+        else:
+            op = rng.choice(["and", "or", "xor"])
+            ref, st = pure.apply_binop(st, op, rng.choice(refs), rng.choice(refs))
+        versions.append((st, refs if ref in refs else refs + [ref]))
+    return [st for st, _ in versions]
+
+
+def test_version_tree_views():
+    lines = []
+    for st in _version_tree():
+        memo = st.memo
+        views = [st.graph, st.hmap, memo.mand, memo.mor, memo.mxor, memo.mneg]
+        lines += [
+            *(repr(list(view.items())) for view in views),
+            str(pure.node_count(st)),
+            pure.store_to_text(st),
+            str(pure.validate_store(st, check_memo_semantics=True)),
+        ]
+    assert _digest("\n".join(lines)) == VERSION_TREE

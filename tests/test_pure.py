@@ -356,16 +356,32 @@ def test_validate_memo_domain():
     assert "memo-domain" in pure.validate_store(st).codes()
 
 
+def test_validate_reports_leaf_hmap_value():
+    # a leaf is visible to every version, so it is reported, not compared with ids
+    node = Node(LEAF_FALSE, 1, LEAF_TRUE)
+    st = pure.store_from_parts({1: node}, hmap={node: LEAF_TRUE}, next_id=2)
+    assert dict(st.hmap) == {node: LEAF_TRUE}
+    assert pure.validate_store(st).codes() == {"left-inverse"}
+
+
 def test_validate_memo_semantics_on_demand():
     st = pure.empty_store()
     a, st = pure.mk_node(st, LEAF_FALSE, 1, LEAF_TRUE)
     b, st = pure.mk_node(st, LEAF_FALSE, 2, LEAF_TRUE)
     wrong = pure.store_from_parts(
-        dict(st.graph.items()), memo_and={(a, b): LEAF_TRUE}
+        dict(st.graph.items()),
+        memo_and={(a, b): LEAF_TRUE},
+        memo_xor={(a, b): b},
+        memo_neg={b: LEAF_FALSE},
     )
     assert pure.validate_store(wrong).ok
     report = pure.validate_store(wrong, check_memo_semantics=True)
     assert "memo-semantics" in report.codes()
+    assert [v.message for v in report.violations] == [
+        "mand[(1, 2)] = Leaf.TRUE is wrong under {1: False, 2: False}",
+        "mxor[(1, 2)] = 2 is wrong under {1: True, 2: False}",
+        "mneg[2] = Leaf.FALSE is wrong under {2: False}",
+    ]
 
 
 def test_validate_clean_after_compiles():
@@ -584,6 +600,11 @@ def test_store_text_format_shape():
         "bddhc-store 1\nnext 2\n1 F 0 T\n",
         "bddhc-store 1\nnext 3\n1 F 1 T\n1 F 2 T\n",
         "bddhc-store 1\nnext 2\nx F 1 T\n",
+        # numbers are ASCII decimal: no underscores, no plus sign, no other digits
+        "bddhc-store 1\nnext 11\n1_0 F 1 T\n",
+        "bddhc-store 1\nnext 2\n+1 F 1 T\n",
+        "bddhc-store 1\nnext 2\n1 F \u0661 T\n",
+        "bddhc-store 1\nnext 3 junk\n",
     ],
 )
 def test_store_text_rejects_malformed(text):
