@@ -2,8 +2,11 @@
 
 Exit codes: 0 for a positive verdict (tautology / satisfiable /
 equivalent, or a passing self-test), 1 for the negative verdict or a
-failed self-test, 2 for usage, parse or resource-limit errors and for any
-other exception, which is reported as one ``error: <Type>: <message>`` line.
+failed self-test, 2 for usage errors and for any exception.  An exception
+is reported as one stderr line: ``error: <message>`` for an ``OSError``
+or ``BddError`` (an unreadable file, a parse error, the pure backend
+running out of fuel), ``error: <Type>: <message>`` for any other (a
+``RecursionError``, say, or a bug).
 
 ``bench`` writes comma-separated rows to stdout with the header::
 
@@ -22,23 +25,24 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from . import frontend, graph, interned, oracle, pure
 from .core import (
-    LEAF_FALSE,
-    LEAF_TRUE,
     And,
     BddError,
     Const,
     Formula,
     Not,
     Or,
+    ValidationReport,
     Xor,
     formula_max_var,
     formula_size,
 )
 
+BACKENDS = ("pure", "interned")
 QUEENS_SIZE_CAP = 8
 PIGEONHOLE_SIZE_CAP = 7
 
@@ -88,92 +92,102 @@ def count_models(root, n: int, store: Optional[pure.Store] = None) -> int:
     return graph.count_models(root, n, expand)
 
 
+class _Compiled(NamedTuple):
+    """Formulas compiled into one fresh pure store or interned manager.
+
+    On either backend two roots are ``==`` exactly when they are the same
+    node, and ``expand(root)[0]`` is a leaf root's truth value.
+    """
+
+    roots: list
+    expand: Callable  # the state's :mod:`bddhc.graph` expand function
+    stats: dict[str, int]
+    nodes: int  # decision nodes in the state
+    kernel: str
+    seconds: float  # wall time of the compilation alone
+    validate: Callable[[], ValidationReport]
+    truth_table: Callable[[object, int], oracle.TruthTable]  # (root, n)
+
+
+def _compile(backend, formulas, kernel="auto", fuel=None, reduce_nodes=True) -> _Compiled:
+    """The only code of the tool that branches on the backend.
+
+    ``kernel`` picks the interned kernel and ``fuel`` bounds the pure
+    backend's recursion; the other backend ignores each.
+    """
+    start = time.perf_counter()
+    if backend == "pure":
+        st = pure.empty_store(reduce_nodes=reduce_nodes)
+        roots = []
+        for f in formulas:
+            root, st = frontend.compile_pure(f, st, fuel)
+            roots.append(root)
+        seconds = time.perf_counter() - start
+        return _Compiled(
+            roots, pure.expander(st), pure.store_stats(st), pure.node_count(st),
+            "python", seconds, partial(pure.validate_store, st),
+            partial(oracle.bdd_truth_table, store=st),
+        )
+    m = interned.new_manager(kernel, reduce_nodes=reduce_nodes)
+    roots = [frontend.compile_interned(f, m) for f in formulas]
+    seconds = time.perf_counter() - start
+    return _Compiled(
+        roots, interned.expand, m.stats(), m.pool_size() - 2, m.IMPL, seconds,
+        partial(interned.validate_manager, m), oracle.bdd_truth_table,
+    )
+
+
 # ---------------------------------------------------------------------------
 # check
 
-
-def _verdict_and_exit(kind: str, positive: bool) -> tuple[str, int]:
-    words = {
-        "taut": ("taut", "not-taut"),
-        "sat": ("sat", "unsat"),
-        "equiv": ("equiv", "not-equiv"),
-    }[kind]
-    return (words[0], 0) if positive else (words[1], 1)
+_VERDICTS = {
+    "taut": ("taut", "not-taut"),
+    "sat": ("sat", "unsat"),
+    "equiv": ("equiv", "not-equiv"),
+}
 
 
 def cmd_check(args) -> int:
     kind = args.kind
-    if kind == "equiv" and len(args.files) != 2:
-        print("equiv needs exactly two formula files", file=sys.stderr)
+    count, need = (2, "two formula files") if kind == "equiv" else (1, "one formula file")
+    if len(args.files) != count:
+        print(f"{kind} needs exactly {need}", file=sys.stderr)
         return 2
-    if kind != "equiv" and len(args.files) != 1:
-        print(f"{kind} needs exactly one formula file", file=sys.stderr)
-        return 2
-    try:
-        formulas = [frontend.parse_file(path) for path in args.files]
-    except (OSError, BddError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    backends = ["pure", "interned"] if args.backend == "both" else [args.backend]
-    exit_codes = []
+    formulas = [frontend.parse_file(path) for path in args.files]
+    backends = BACKENDS if args.backend == "both" else [args.backend]
+    verdicts = set()
     for backend in backends:
-        try:
-            report, positive = _check_one(kind, formulas, backend, args.fuel)
-        except BddError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report, positive = _check_one(kind, formulas, backend, args.fuel)
         print(report.to_line())
-        exit_codes.append(0 if positive else 1)
-    if len(set(exit_codes)) > 1:
+        verdicts.add(positive)
+    if len(verdicts) > 1:
         print("error: backends disagree on the verdict", file=sys.stderr)
         return 2
-    return exit_codes[0]
+    return 0 if verdicts.pop() else 1
 
 
 def _check_one(kind, formulas, backend, fuel) -> tuple[RunReport, bool]:
     start = time.perf_counter()
-    if backend == "pure":
-        st = pure.empty_store()
-        refs = []
-        for f in formulas:
-            ref, st = frontend.compile_pure(f, st, fuel)
-            refs.append(ref)
-        stats = pure.store_stats(st)
-        state_nodes = pure.node_count(st)
-        result_nodes = pure.size(st, refs[0])
-        if kind == "taut":
-            positive = refs[0] is LEAF_TRUE
-        elif kind == "sat":
-            positive = refs[0] is not LEAF_FALSE
-        else:
-            positive = pure.eq(refs[0], refs[1])
-        kernel = "python"
+    c = _compile(backend, formulas, fuel=fuel)
+    value = c.expand(c.roots[0])[0]
+    if kind == "taut":
+        positive = value is True
+    elif kind == "sat":
+        positive = value is not False
     else:
-        m = interned.new_manager()
-        handles = [frontend.compile_interned(f, m) for f in formulas]
-        stats = m.stats()
-        state_nodes = m.pool_size() - 2
-        result_nodes = interned.bdd_size(handles[0])
-        if kind == "taut":
-            positive = handles[0].uid == m.true.uid
-        elif kind == "sat":
-            positive = handles[0].uid != m.false.uid
-        else:
-            positive = interned.structural_eq(handles[0], handles[1])
-        kernel = interned.kernel_name()
+        positive = c.roots[0] == c.roots[1]
+    result_nodes = graph.size(c.roots[0], c.expand)
     wall = time.perf_counter() - start
-    memo_hits, memo_misses = _memo_totals(stats)
-    verdict, _ = _verdict_and_exit(kind, positive)
+    memo_hits, memo_misses = _memo_totals(c.stats)
     report = RunReport(
         command=f"check:{kind}",
         backend=backend,
-        kernel=kernel,
-        verdict=verdict,
+        kernel=c.kernel,
+        verdict=_VERDICTS[kind][not positive],
         result_nodes=result_nodes,
-        state_nodes=state_nodes,
-        intern_hits=stats["intern_hits"],
-        intern_misses=stats["intern_misses"],
+        state_nodes=c.nodes,
+        intern_hits=c.stats["intern_hits"],
+        intern_misses=c.stats["intern_misses"],
         memo_hits=memo_hits,
         memo_misses=memo_misses,
         wall_s=wall,
@@ -186,18 +200,11 @@ def _check_one(kind, formulas, backend, fuel) -> tuple[RunReport, bool]:
 
 
 def cmd_dot(args) -> int:
-    try:
-        f = frontend.parse_file(args.file)
-    except (OSError, BddError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    m = interned.new_manager()
+    c = _compile(args.backend, [frontend.parse_file(args.file)], fuel=args.fuel)
+    root = c.roots[0]
     if args.backend == "pure":
-        st = pure.empty_store()
-        ref, st = frontend.compile_pure(f, st, args.fuel)
-        root = interned.import_pure(m, st, ref)
-    else:
-        root = frontend.compile_interned(f, m)
+        # DOT names nodes by uid, so the store is copied into a manager
+        root = graph.copy(root, c.expand, interned.new_manager())
     text = interned.to_dot(root)
     out = args.dot_out or args.out
     if out:
@@ -217,15 +224,24 @@ BENCH_HEADER = (
 )
 
 
+def _parse_size(text: str) -> int:
+    # ``int`` alone would also take ``+3``, ``1_0`` and non-ASCII digits
+    text = text.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return int(text)
+
+
 def _parse_sizes(text: str) -> list[int]:
     sizes = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..", 1)
-            sizes.extend(range(int(lo), int(hi) + 1))
+            sizes.extend(range(_parse_size(lo), _parse_size(hi) + 1))
         elif part:
-            sizes.append(int(part))
+            sizes.append(_parse_size(part))
     if not sizes:
         raise ValueError("empty size list")
     return sizes
@@ -238,29 +254,16 @@ def _bench_formula(family: str, size: int) -> tuple[Formula, int]:
 
 
 def _bench_row(family, size, backend, kernel, formula, n_vars) -> tuple[str, float]:
-    start = time.perf_counter()
-    if backend == "pure":
-        st = pure.empty_store()
-        ref, st = frontend.compile_pure(formula, st)
-        wall = time.perf_counter() - start
-        stats = pure.store_stats(st)
-        peak = pure.node_count(st)
-        models = count_models(ref, n_vars, store=st)
-    else:
-        m = interned.new_manager(kernel)
-        root = frontend.compile_interned(formula, m)
-        wall = time.perf_counter() - start
-        stats = m.stats()
-        peak = m.pool_size() - 2
-        models = count_models(root, n_vars)
-    memo_hits, memo_misses = _memo_totals(stats)
+    c = _compile(backend, [formula], kernel)
+    models = graph.count_models(c.roots[0], n_vars, c.expand)
+    memo_hits, memo_misses = _memo_totals(c.stats)
     verdict = "sat" if models else "unsat"
     row = (
-        f"{family},{size},{backend},{kernel},{wall:.4f},{peak},"
-        f"{stats['intern_hits']},{stats['intern_misses']},"
+        f"{family},{size},{backend},{c.kernel},{c.seconds:.4f},{c.nodes},"
+        f"{c.stats['intern_hits']},{c.stats['intern_misses']},"
         f"{memo_hits},{memo_misses},{models},{verdict}"
     )
-    return row, wall
+    return row, c.seconds
 
 
 def cmd_bench(args) -> int:
@@ -278,7 +281,7 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 2
-    backends = ["pure", "interned"] if args.backend == "both" else [args.backend]
+    backends = BACKENDS if args.backend == "both" else [args.backend]
     if args.kernel == "both":
         kernels = interned.available_kernels()
     elif args.kernel == "auto":
@@ -288,26 +291,21 @@ def cmd_bench(args) -> int:
         if args.kernel == "compiled" and not interned.HAVE_SPEEDUPS:
             print("error: compiled kernel is not available", file=sys.stderr)
             return 2
+    kernels_of = {"pure": ["python"], "interned": kernels}
 
     print(BENCH_HEADER)
     for size in sizes:
         formula, n_vars = _bench_formula(args.family, size)
-        pure_wall = None
-        interned_walls = []
+        walls = []
         for backend in backends:
-            if backend == "pure":
-                row, pure_wall = _bench_row(
-                    args.family, size, "pure", "python", formula, n_vars
-                )
-                print(row)
-                continue
-            for kernel in kernels:
+            for kernel in kernels_of[backend]:
                 row, wall = _bench_row(
-                    args.family, size, "interned", kernel, formula, n_vars
+                    args.family, size, backend, kernel, formula, n_vars
                 )
-                interned_walls.append((kernel, wall))
+                walls.append((kernel, wall))
                 print(row)
-        if pure_wall is not None:
+        if args.backend == "both":
+            (_, pure_wall), *interned_walls = walls
             for kernel, wall in interned_walls:
                 ratio = pure_wall / wall if wall > 0 else float("inf")
                 print(
@@ -370,35 +368,23 @@ def run_selftest(
     def case_fails(f: Formula) -> bool:
         n = max(1, formula_max_var(f))
         want = oracle.formula_truth_table(f, n)
-        st = pure.empty_store(reduce_nodes=reduce_nodes)
-        ref, st = frontend.compile_pure(f, st)
-        if not oracle.tables_equal(oracle.bdd_truth_table(ref, n, store=st), want):
-            return True
-        m = interned.new_manager(reduce_nodes=reduce_nodes)
-        h = frontend.compile_interned(f, m)
-        if not oracle.tables_equal(oracle.bdd_truth_table(h, n), want):
-            return True
-        if not pure.validate_store(st).ok:
-            return True
-        if not interned.validate_manager(m).ok:
-            return True
+        for backend in BACKENDS:
+            c = _compile(backend, [f], reduce_nodes=reduce_nodes)
+            got = c.truth_table(c.roots[0], n)
+            if not oracle.tables_equal(got, want) or not c.validate().ok:
+                return True
         return False
 
     def pair_fails(pair: tuple[Formula, Formula]) -> bool:
         f, g = pair
         n = max(1, formula_max_var(f), formula_max_var(g))
-        tf = oracle.formula_truth_table(f, n)
-        tg = oracle.formula_truth_table(g, n)
-        semantically_equal = oracle.tables_equal(tf, tg)
-        st = pure.empty_store(reduce_nodes=reduce_nodes)
-        rf, st = frontend.compile_pure(f, st)
-        rg, st = frontend.compile_pure(g, st)
-        if pure.eq(rf, rg) != semantically_equal:
-            return True
-        m = interned.new_manager(reduce_nodes=reduce_nodes)
-        hf = frontend.compile_interned(f, m)
-        hg = frontend.compile_interned(g, m)
-        return interned.structural_eq(hf, hg) != semantically_equal
+        tables = [oracle.formula_truth_table(h, n) for h in (f, g)]
+        semantically_equal = oracle.tables_equal(*tables)
+        for backend in BACKENDS:
+            c = _compile(backend, [f, g], reduce_nodes=reduce_nodes)
+            if (c.roots[0] == c.roots[1]) != semantically_equal:
+                return True
+        return False
 
     for i in range(cases):
         f = frontend.random_formula(rng, max_var=max_vars, max_depth=8)
@@ -426,17 +412,19 @@ def run_selftest(
 
 
 def cmd_selftest(args) -> int:
-    ok, _ = run_selftest(
-        seed=args.seed,
-        cases=args.cases,
-        max_vars=args.max_vars,
-        sabotage=args.sabotage,
-    )
+    ok, _ = run_selftest(args.seed, args.cases, args.max_vars, args.sabotage)
     return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="randomized cross-backend test suite")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--cases", type=int, default=300)
-    p_self.add_argument("--max-vars", dest="max_vars", type=int, default=6)
+    p_self.add_argument("--cases", type=positive_int, default=300)
+    p_self.add_argument("--max-vars", dest="max_vars", type=positive_int, default=6)
     p_self.add_argument("--sabotage", choices=["no-reduce"], help=argparse.SUPPRESS)
     p_self.set_defaults(func=cmd_selftest)
 
@@ -502,7 +490,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # exit codes 0 and 1 are verdicts, so a crash (RecursionError,
         # MemoryError, a bug) must not leave through them
         message = str(exc).replace("\n", " ")
-        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        if not isinstance(exc, (OSError, BddError)):
+            message = f"{type(exc).__name__}: {message}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

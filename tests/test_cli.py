@@ -195,7 +195,7 @@ def test_check_verdicts_agree_with_the_oracle(tmp_path_factory, f, g):
         ("equiv", paths, oracle.tables_equal(*tables)),
     ]
     for kind, args, positive in cases:
-        verdict, code = cli._verdict_and_exit(kind, positive)
+        verdict, code = cli._VERDICTS[kind][not positive], 0 if positive else 1
         for backend in ("pure", "interned"):
             got, out = _run_check(kind, args, backend)
             assert got == code, (kind, backend, out)
@@ -280,6 +280,15 @@ def test_dot_parse_error(formula_file):
     assert main(["dot", formula_file("((")]) == 2
 
 
+def test_dot_unwritable_out_is_one_error_line(formula_file, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "g.dot"
+    assert main(["dot", formula_file("x1"), "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"[Errno 2] No such file or directory: {str(out_path)!r}"
+    assert captured.err == f"error: {message}\n"
+
+
 # -- bench --------------------------------------------------------------------
 
 
@@ -326,6 +335,15 @@ def test_bench_bad_sizes(capsys):
     assert main(["bench", "queens", "--sizes", "x"]) == 2
 
 
+@pytest.mark.parametrize("sizes", ["+3", "1_0", "\u0664", "4..+5"])
+def test_bench_sizes_are_ascii_decimal(sizes, capsys):
+    # ``int`` would read these as 3, 10, 4 and 4..5
+    assert main(["bench", "queens", "--sizes", sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad size list: ")
+
+
 def test_bench_kernel_both(capsys):
     assert main(["bench", "queens", "--sizes", "4", "--backend", "interned",
                  "--kernel", "both"]) == 0
@@ -364,6 +382,17 @@ def test_selftest_sabotage_fails_with_witness(capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "witness" in out
+
+
+@pytest.mark.parametrize("option", ["--cases", "--max-vars"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_selftest_counts_must_be_positive(option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be at least 1, got {value}" in captured.err
 
 
 def test_selftest_witness_is_parseable():

@@ -3,15 +3,19 @@
 Each expected value is the first 16 hex digits of the SHA-256 of the
 output, recorded before the graph walks were shared between the two
 backends.  ``bddhc dot --backend pure`` mirrors the store into a manager,
-so its digest also pins the uid numbering of that copy.  Bench rows are
-compared without ``wall_s`` and without the ``#`` ratio lines.
+so its digest also pins the uid numbering of that copy.  Bench rows and
+``check`` report lines are compared without ``wall_s``, and bench rows
+without the ``#`` ratio lines.  The ``check`` and ``selftest`` pins, and
+the error lines of ``check`` and ``dot``, were recorded before the CLI
+compiled both backends through one function.
 """
 import hashlib
 import random
+import re
 
 import pytest
 
-from bddhc import frontend, pure
+from bddhc import frontend, interned, pure
 from bddhc.cli import main
 from bddhc.core import LEAF_FALSE, LEAF_TRUE, Leaf
 
@@ -39,6 +43,37 @@ FORMULA_TEXT = {
 
 # ``bddhc bench queens --sizes 4..6 --kernel <k>``; the kernel is a column
 BENCH = {"python": "a642701bb1d4b877", "compiled": "50b189b4b16419d9"}
+
+# ``bddhc check <kind> <files> --backend both``: exit code and report lines,
+# compared without ``kernel`` (the interned line names the default kernel)
+CHECK = {
+    "taut-positive": ("taut", ["tautology"], 0, "42ec6952997aac91"),
+    "taut-negative": ("taut", ["contingent"], 1, "deecf0157fbebb2d"),
+    "sat-positive": ("sat", ["queens4"], 0, "8a35bd32ed4d971f"),
+    "sat-negative": ("sat", ["pigeonhole3"], 1, "ae748acbf94c15ef"),
+    "equiv-positive": ("equiv", ["xor", "xor_spelled"], 0, "fc68f411f1c1d6c2"),
+    "equiv-negative": ("equiv", ["random3", "queens4"], 1, "18a17755deae1313"),
+}
+
+CHECK_FORMULAS = {
+    "tautology": lambda: frontend.parse("(x1 & x2) | !x1 | !x2"),
+    "contingent": lambda: frontend.parse("x1 | x2 & x3"),
+    "queens4": FORMULAS["queens4"],
+    "pigeonhole3": lambda: frontend.pigeonhole_formula(3),
+    "xor": lambda: frontend.parse("x1 ^ x2 ^ x3"),
+    "xor_spelled": lambda: frontend.parse("(x1 | x2) & !(x1 & x2) ^ x3"),
+    "random3": FORMULAS["random3"],
+}
+
+# ``bddhc selftest <args>``: exit code and stdout
+SELFTEST = {
+    "seed3": (["--seed", "3", "--cases", "60"], 0, "86967c267ec9b164"),
+    "sabotage": (
+        ["--seed", "2", "--cases", "40", "--sabotage", "no-reduce"],
+        1,
+        "205fc7ad545138d4",
+    ),
+}
 
 # every view of every version of ``_version_tree()``, recorded before the
 # store's hmap and memo views became one class
@@ -124,3 +159,53 @@ def test_version_tree_views():
             str(pure.validate_store(st, check_memo_semantics=True)),
         ]
     assert _digest("\n".join(lines)) == VERSION_TREE
+
+
+def _without_wall_s_and_kernel(text):
+    return re.sub(r" (wall_s|kernel)=\S+", "", text)
+
+
+@pytest.mark.parametrize("case", sorted(CHECK))
+def test_check_report_lines(case, tmp_path, capsys):
+    kind, names, code, digest = CHECK[case]
+    paths = []
+    for name in names:
+        path = tmp_path / f"{name}.txt"
+        text = frontend.format_formula(CHECK_FORMULAS[name]())
+        path.write_text(text + "\n", encoding="utf-8")
+        paths.append(str(path))
+    assert main(["check", kind, *paths, "--backend", "both"]) == code
+    out = capsys.readouterr().out
+    kernels = re.findall(r" kernel=(\S+)", out)
+    assert kernels == ["python", interned.kernel_name()]
+    assert _digest(_without_wall_s_and_kernel(out)) == digest
+
+
+@pytest.mark.parametrize("case", sorted(SELFTEST))
+def test_selftest_output(case, capsys):
+    args, code, digest = SELFTEST[case]
+    assert main(["selftest", *args]) == code
+    assert _digest(capsys.readouterr().out) == digest
+
+
+# one formula file, the extra arguments and the error line; ``{path}``
+# stands for the file's path
+ERRORS = {
+    "parse": ("x1 &", [], "2:1: expected a formula, found end of input"),
+    "missing": (None, [], "[Errno 2] No such file or directory: {path!r}"),
+    "fuel": ("x1 | x2", ["--backend", "pure", "--fuel", "0"], "or ran out of fuel"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "dot"])
+@pytest.mark.parametrize("case", sorted(ERRORS))
+def test_error_lines(command, case, tmp_path, capsys):
+    text, extra, message = ERRORS[case]
+    path = tmp_path / "f.txt"
+    if text is not None:
+        path.write_text(text + "\n", encoding="utf-8")
+    args = ["check", "taut"] if command == "check" else ["dot"]
+    assert main([*args, str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.format(path=str(path)) + "\n"
