@@ -288,8 +288,3 @@ for _kind in _OPS:
     setattr(Manager, f"{_kind}_hits", _counter(_kind, "hits"))
     setattr(Manager, f"{_kind}_misses", _counter(_kind, "misses"))
 del _kind
-
-
-def uid(a: Handle) -> int:
-    """The handle's stable unique identifier."""
-    return a.uid

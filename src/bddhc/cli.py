@@ -40,6 +40,7 @@ from .core import (
     Xor,
     formula_max_var,
     formula_size,
+    parse_decimal,
 )
 
 BACKENDS = ("pure", "interned")
@@ -225,12 +226,11 @@ BENCH_HEADER = (
 
 
 def _parse_size(text: str) -> int:
-    # ``int`` alone would also take ``+3``, ``1_0`` and non-ASCII digits
     text = text.strip()
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    size = parse_decimal(text)
+    if size is None:
         raise ValueError(f"not a decimal number: {text!r}")
-    return int(text)
+    return size
 
 
 def _parse_sizes(text: str) -> list[int]:

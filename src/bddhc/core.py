@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 
 class BddError(Exception):
@@ -80,11 +80,25 @@ NodeRef = Union[Leaf, int]
 Assignment = Mapping[int, bool]
 
 
+# The largest variable index a formula may name: the compiled kernel's
+# ``Handle`` stores its variable in a C ``int``.
+MAX_VAR = 2**31 - 1
+
+
 def check_var(index: int) -> int:
     """Validate a 1-based variable index, returning it unchanged."""
     if not isinstance(index, int) or isinstance(index, bool) or index < 1:
         raise VarOutOfRange(f"variable index must be a positive integer, got {index!r}")
     return index
+
+
+def parse_decimal(token: str) -> Optional[int]:
+    """``token`` as an ASCII decimal number with an optional ``-``, else None.
+
+    ``int`` alone would also take ``+1``, ``1_0`` and non-ASCII digits.
+    """
+    digits = token[1:] if token.startswith("-") else token
+    return int(token) if digits.isascii() and digits.isdigit() else None
 
 
 class Node(NamedTuple):
@@ -179,7 +193,9 @@ class Ref(Formula):
     var: int
 
     def __post_init__(self) -> None:
-        check_var(self.var)
+        if check_var(self.var) > MAX_VAR:
+            message = f"variable index must be at most {MAX_VAR}, got {self.var}"
+            raise VarOutOfRange(message)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)

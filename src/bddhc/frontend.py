@@ -40,6 +40,7 @@ from .core import (
     BddError,
     Const,
     Formula,
+    MAX_VAR,
     Not,
     NodeRef,
     Or,
@@ -125,11 +126,13 @@ def _tokenize(text: str) -> list[tuple]:
             try:
                 index = int(text[i + 1 : j])
             except ValueError:  # more digits than int() will convert
-                message = f"variable index too long ({j - i - 1} digits)"
-                raise _error(message, text, i) from None
+                index = MAX_VAR + 1
             if index == 0:
                 message = "x0 is not a variable; indices start at 1"
                 raise _error(message, text, i, VarIndexZero)
+            if index > MAX_VAR:
+                message = f"variable index too large; the largest is x{MAX_VAR}"
+                raise _error(message, text, i)
             tokens.append(("var", index, i))
             i = j
         else:

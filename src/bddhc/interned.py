@@ -3,9 +3,8 @@
 Handles carry unique identifiers, so equality of functions is one integer
 comparison.  The hot kernel (node construction and the memoized
 operations) exists twice: a compiled Cython extension and a pure-Python
-twin with identical observable behavior.  The extension is preferred at
-import time; set ``BDDHC_PURE_PYTHON=1`` to force the fallback, or pass
-``kernel=`` to :func:`new_manager` to pick explicitly.
+twin with identical observable behavior.  :func:`new_manager` uses the
+extension when it is built, and ``kernel=`` picks one explicitly.
 
 This module also hosts what does not need to be fast: validation, DOT
 export, and :func:`expand`, through which :mod:`bddhc.graph` reads the
@@ -14,43 +13,33 @@ pure store and the cache-semantics check are folds over that one walk.
 """
 from __future__ import annotations
 
-import os
-
 from .core import ForeignHandle, ValidationReport
 from . import _pykernel, graph, pure
 
-PyManager = _pykernel.Manager
-uid = _pykernel.uid
+# name -> manager class of each built kernel
+_KERNELS = {"python": _pykernel.Manager}
+try:
+    from . import _speedups  # type: ignore[attr-defined]
+except ImportError:
+    pass
+else:
+    _KERNELS["compiled"] = _speedups.Manager
 
-CompiledManager = None
-if os.environ.get("BDDHC_PURE_PYTHON", "") in ("", "0"):
-    try:
-        from . import _speedups  # type: ignore[attr-defined]
-
-        CompiledManager = _speedups.Manager
-    except ImportError:
-        CompiledManager = None
-
-HAVE_SPEEDUPS = CompiledManager is not None
-
-#: Default manager class: compiled when available, Python otherwise.
-Manager = CompiledManager if HAVE_SPEEDUPS else PyManager
-
-_KERNELS = {"python": PyManager, "compiled": CompiledManager, "auto": Manager}
+HAVE_SPEEDUPS = "compiled" in _KERNELS
 
 
 def kernel_name() -> str:
-    """Name of the kernel behind the default ``Manager``."""
+    """The kernel ``new_manager`` uses by default: compiled when built."""
     return "compiled" if HAVE_SPEEDUPS else "python"
 
 
 def available_kernels() -> list[str]:
-    return ["python", "compiled"] if HAVE_SPEEDUPS else ["python"]
+    return list(_KERNELS)
 
 
 def new_manager(kernel: str = "auto", reduce_nodes: bool = True):
     """Fresh manager from the chosen kernel (``auto``/``python``/``compiled``)."""
-    cls = _KERNELS.get(kernel)
+    cls = _KERNELS.get(kernel_name() if kernel == "auto" else kernel)
     if cls is None:
         have = ", ".join(available_kernels())
         raise ValueError(f"kernel {kernel!r} not available (have: {have})")
@@ -81,7 +70,7 @@ def reachable(root) -> list:
     Construction hands out child uids before parent uids, so this order
     is topological: every node's children appear earlier in the list.
     """
-    return sorted((h for h, _ in graph.walk(root, expand)), key=uid)
+    return sorted((h for h, _ in graph.walk(root, expand)), key=lambda h: h.uid)
 
 
 def bdd_size(root) -> int:

@@ -22,11 +22,11 @@ have ids ``>= next`` of every older version and are filtered out of the
 older versions' views, which is what makes sharing sound.
 
 That visibility rule (a leaf, or an id ``<= count`` or ``< next``) is
-written once, in ``_visible``.  ``GraphView`` shows a version's cells and
-``TableView`` the entries of the hmap or of one memo table whose value
-and key ids the version sees; each view's ``snapshot()`` returns them as
-a plain dict, and cloning, validation and serialization read the store
-through it.
+written once, in ``_visible``.  As in the paper's record of finite maps,
+a version hands out its tables as plain dicts: ``Store.graph`` (id ->
+node), ``Store.hmap`` and the four ``Store.memo`` tables each return a
+new dict of the entries whose value and key ids the version sees.
+Cloning, validation and serialization read those dicts.
 
 Code that only reads a finished diagram (size, denotation, the memo
 semantics check, the oracle, model counting, mirroring into a manager)
@@ -67,7 +67,7 @@ an import error.
 from __future__ import annotations
 
 import threading
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import graph
 from .core import (
@@ -85,6 +85,7 @@ from .core import (
     ValidationReport,
     check_var,
     node_should_collapse,
+    parse_decimal,
 )
 
 # operation -> (``_Shared`` attribute, key arity) of each memo table, in the
@@ -116,9 +117,9 @@ class _Shared:
     ``tip`` is the slot count of the unique version that may extend in
     place; extending any other version clones first.  The lock serializes
     slot allocation (tip check + append must be atomic).  Reads need no
-    lock: slots are never reassigned, and snapshots of the dict tables use
-    ``dict.copy``, which the GIL makes atomic.  Single-key memo inserts
-    are likewise GIL-atomic.  The stats counters are instrumentation; they
+    lock: slots are never reassigned, and reads of the dict tables go
+    through ``dict.copy``, which the GIL makes atomic.  Single-key memo
+    inserts are likewise GIL-atomic.  The stats counters are instrumentation; they
     are only guaranteed exact under single-threaded use.
     """
 
@@ -140,17 +141,24 @@ class _Shared:
 def _visible(ref: NodeRef, count: int, nxt: int) -> bool:
     """Whether a version with ``count`` slots and next id ``nxt`` sees ``ref``.
 
-    Leaves are always visible.  This is the rule every view applies; the
-    hot path spells it out inline.
+    Leaves are always visible.  Every read of a version's tables applies
+    this rule; the hot path spells it out inline.
     """
     return type(ref) is Leaf or ref <= count or ref < nxt
+
+
+# one dict per memo table, named by its ``_Shared`` attribute
+Memo = NamedTuple("Memo", [(attr, dict) for attr, _ in _MEMO_TABLES.values()])
 
 
 class Store(NamedTuple):
     """One immutable version of a BDD store.
 
-    Treat instances as opaque values; read through the ``graph``,
-    ``hmap`` and ``memo`` views.  ``next`` is the next fresh node id.
+    Treat instances as opaque values; read them through ``graph``,
+    ``hmap`` and ``memo``.  Each read returns new dicts of what this
+    version sees: they are the caller's own, so writing to one leaves the
+    store as it was, and a held ``memo`` does not show entries that later
+    operations add.  ``next`` is the next fresh node id.
     """
 
     shared: _Shared
@@ -160,101 +168,54 @@ class Store(NamedTuple):
     reduce_nodes: bool
 
     @property
-    def graph(self) -> "GraphView":
-        return GraphView(self)
+    def graph(self) -> dict[int, Node]:
+        """The visible cells as an id -> Node dict, in id order."""
+        cells = self.shared.cells[: self.count]
+        return {i: node for i, node in enumerate(cells, 1) if node is not None}
 
     @property
-    def hmap(self) -> "TableView":
-        return TableView(self, self.shared.hmap, 0)
+    def hmap(self) -> dict[Node, int]:
+        """The visible hash-consing entries, node -> id."""
+        return _visible_entries(self, self.shared.hmap, 0)
 
     @property
-    def memo(self) -> "MemoView":
-        return MemoView(self)
+    def memo(self) -> Memo:
+        """The visible entries of each memo table."""
+        return Memo(
+            *(
+                _visible_entries(self, getattr(self.shared, attr), arity)
+                for attr, arity in _MEMO_TABLES.values()
+            )
+        )
 
     def __repr__(self) -> str:
         return f"<Store nodes={node_count(self)} next={self.next}>"
 
 
-class GraphView(Mapping):
-    """Read-only id -> Node mapping for one store version."""
+def _visible_entries(st: Store, table: dict, arity: int) -> dict:
+    """The entries of ``table`` whose value and key ids ``st`` sees.
 
-    __slots__ = ("_st",)
-
-    def __init__(self, st: Store) -> None:
-        self._st = st
-
-    def __getitem__(self, node_id: int) -> Node:
-        st = self._st
-        if isinstance(node_id, int) and 1 <= node_id <= st.count:
-            node = st.shared.cells[node_id - 1]
-            if node is not None:
-                return node
-        raise KeyError(node_id)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.snapshot())
-
-    def __len__(self) -> int:
-        st = self._st
-        return st.count - st.shared.cells[: st.count].count(None)
-
-    def snapshot(self) -> dict[int, Node]:
-        """The visible cells as a plain id -> Node dict, in id order."""
-        st = self._st
-        cells = st.shared.cells[: st.count]
-        return {i: node for i, node in enumerate(cells, 1) if node is not None}
-
-
-class TableView(Mapping):
-    """Read-only view of one arena dict table for one store version.
-
-    ``hmap`` maps nodes to ids (key arity 0); a memo table maps one id
-    (arity 1) or a pair of ids (arity 2) to a result.  An entry is visible
-    when its value and its key's ids are.
+    ``arity`` is the key's id count: 0 for the hmap (node keys), 1 for
+    ``not``, 2 for the binary memo tables.  One comprehension per arity
+    keeps the per-entry cost to the ``_visible`` calls themselves.
     """
-
-    __slots__ = ("_table", "_arity", "_count", "_next")
-
-    def __init__(self, st: Store, table: dict, arity: int) -> None:
-        self._table = table
-        self._arity = arity
-        self._count = st.count
-        self._next = st.next
-
-    def _shows(self, key, value) -> bool:
-        count, nxt = self._count, self._next
-        if not _visible(value, count, nxt):
-            return False
-        if self._arity == 2:
-            return _visible(key[0], count, nxt) and _visible(key[1], count, nxt)
-        return self._arity == 0 or _visible(key, count, nxt)
-
-    def __getitem__(self, key):
-        value = self._table[key]
-        if not self._shows(key, value):
-            raise KeyError(key)
-        return value
-
-    def __iter__(self) -> Iterator:
-        return iter(self.snapshot())
-
-    def __len__(self) -> int:
-        return len(self.snapshot())
-
-    def snapshot(self) -> dict:
-        """The visible entries as a plain dict, in insertion order."""
-        shows = self._shows
-        return {k: v for k, v in self._table.copy().items() if shows(k, v)}
-
-
-class MemoView:
-    """Per-version views of the memo tables, one attribute per table."""
-
-    __slots__ = tuple(attr for attr, _ in _MEMO_TABLES.values())
-
-    def __init__(self, st: Store) -> None:
-        for attr, arity in _MEMO_TABLES.values():
-            setattr(self, attr, TableView(st, getattr(st.shared, attr), arity))
+    count, nxt = st.count, st.next
+    items = table.copy().items()
+    if arity == 0:
+        return {k: v for k, v in items if _visible(v, count, nxt)}
+    if arity == 1:
+        return {
+            k: v
+            for k, v in items
+            if _visible(v, count, nxt) and _visible(k, count, nxt)
+        }
+    return {
+        k: v
+        for k, v in items
+        if _visible(v, count, nxt)
+        and _visible(k[0], count, nxt)
+        and _visible(k[1], count, nxt)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +284,10 @@ def _clone_shared(st: Store, copy_memo: bool = True) -> _Shared:
     """Private copy of the prefix of the arena that ``st`` can see."""
     sh = _Shared()
     sh.cells = st.shared.cells[: st.count]
-    sh.hmap = st.hmap.snapshot()
+    sh.hmap = st.hmap
     if copy_memo:
-        memo = st.memo
-        for attr, _ in _MEMO_TABLES.values():
-            setattr(sh, attr, getattr(memo, attr).snapshot())
+        for attr, table in st.memo._asdict().items():
+            setattr(sh, attr, table)
     sh.stats = st.shared.stats.copy()
     sh.tip = st.count
     return sh
@@ -345,7 +305,7 @@ def store_stats(st: Store) -> dict[str, int]:
 
 def node_count(st: Store) -> int:
     """Number of decision nodes visible in this store version."""
-    return len(st.graph)
+    return st.count - st.shared.cells[: st.count].count(None)
 
 
 def default_fuel(st: Store) -> int:
@@ -585,7 +545,7 @@ def validate_store(st: Store, check_memo_semantics: bool = False) -> ValidationR
     involved, so it only runs on request.
     """
     report = ValidationReport()
-    graph = st.graph.snapshot()
+    graph = st.graph
     nxt = st.next
 
     for node_id, node in graph.items():
@@ -621,7 +581,7 @@ def validate_store(st: Store, check_memo_semantics: bool = False) -> ValidationR
                     f"labeled x{child_node.var}",
                 )
 
-    hmap = st.hmap.snapshot()
+    hmap = st.hmap
     for node_id, node in graph.items():
         if hmap.get(node) != node_id:
             report.add(
@@ -645,7 +605,7 @@ def validate_store(st: Store, check_memo_semantics: bool = False) -> ValidationR
 
     memo = st.memo
     for name, arity in _MEMO_TABLES.values():
-        for key, value in getattr(memo, name).snapshot().items():
+        for key, value in getattr(memo, name).items():
             ids = key if arity == 2 else (key,)
             for i in ids:
                 if i not in graph:
@@ -667,7 +627,7 @@ def _check_memo_semantics(st: Store, report: ValidationReport) -> None:
     entries = [
         (op, key if arity == 2 else (key,), value)
         for op, (attr, arity) in _MEMO_TABLES.items()
-        for key, value in getattr(memo, attr).snapshot().items()
+        for key, value in getattr(memo, attr).items()
     ]
     for op, operands, value, assignment in graph.memo_faults(entries, expander(st)):
         attr, arity = _MEMO_TABLES[op]
@@ -689,21 +649,12 @@ def _ref_token(ref: NodeRef) -> str:
     return str(ref)
 
 
-def _parse_int(token: str) -> Optional[int]:
-    """``token`` as an ASCII decimal number with an optional ``-``, else None.
-
-    ``int`` alone would also take ``+1``, ``1_0`` and non-ASCII digits.
-    """
-    digits = token[1:] if token.startswith("-") else token
-    return int(token) if digits.isascii() and digits.isdigit() else None
-
-
 def _parse_ref(token: str, lineno: int) -> NodeRef:
     if token == "T":
         return LEAF_TRUE
     if token == "F":
         return LEAF_FALSE
-    value = _parse_int(token)
+    value = parse_decimal(token)
     if value is None:
         raise BddError(f"line {lineno}: bad node reference {token!r}")
     if value < 1:
@@ -714,7 +665,7 @@ def _parse_ref(token: str, lineno: int) -> NodeRef:
 def store_to_text(st: Store) -> str:
     """Serialize the visible graph in the line format described above."""
     lines = ["bddhc-store 1", f"next {st.next}"]
-    for node_id, node in st.graph.snapshot().items():
+    for node_id, node in st.graph.items():
         lines.append(
             f"{node_id} {_ref_token(node.low)} {node.var} {_ref_token(node.high)}"
         )
@@ -729,7 +680,7 @@ def store_from_text(text: str) -> Store:
     if len(lines) < 2 or not lines[1].strip().startswith("next "):
         raise BddError("line 2: expected 'next <id>'")
     fields = lines[1].split()
-    next_id = _parse_int(fields[1]) if len(fields) == 2 else None
+    next_id = parse_decimal(fields[1]) if len(fields) == 2 else None
     if next_id is None:
         raise BddError("line 2: expected 'next <id>'")
     if next_id < 1:
@@ -747,7 +698,7 @@ def store_from_text(text: str) -> Store:
             raise BddError(f"line {lineno}: record id must be a number")
         low = _parse_ref(fields[1], lineno)
         high = _parse_ref(fields[3], lineno)
-        var = _parse_int(fields[2])
+        var = parse_decimal(fields[2])
         if var is None:
             raise BddError(f"line {lineno}: bad variable {fields[2]!r}")
         if var < 1:

@@ -203,8 +203,9 @@ def test_wellformedness_preservation_traces():
                 failures.append((t, str(report)))
                 return
             # monotonicity: every old binding survives unchanged
+            post_graph = post.graph
             for node_id, node in pre.graph.items():
-                if post.graph.get(node_id) != node:
+                if post_graph.get(node_id) != node:
                     failures.append((t, f"binding {node_id} changed"))
                     return
             if post.next < pre.next:

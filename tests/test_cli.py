@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from bddhc import cli, frontend, interned, oracle, pure
-from bddhc.core import LEAF_FALSE, LEAF_TRUE, BddError, Node
+from bddhc.core import LEAF_FALSE, LEAF_TRUE, MAX_VAR, BddError, Node
 from bddhc.cli import count_models, main
 from util import DEEP_FORMULAS, formulas
 
@@ -162,6 +162,35 @@ def test_check_deep_formula_gets_its_verdict(
     captured = capsys.readouterr()
     assert f" verdict={verdict} " in captured.out
     assert captured.err == ""
+
+
+def test_check_largest_variable_gets_its_verdict(formula_file, capsys):
+    path = formula_file(f"x{MAX_VAR} & x1")
+    assert main(["check", "sat", path, "--backend", "both"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count(" verdict=sat ") == 2
+    assert captured.err == ""
+
+
+def test_largest_variable_compiles_on_every_kernel(kernel):
+    # the compiled kernel keeps a variable in a C int, so MAX_VAR is its limit
+    formula = frontend.parse(f"x{MAX_VAR} & x1")
+    for backend in cli.BACKENDS:
+        c = cli._compile(backend, [formula], kernel)
+        _, var, _, high = c.expand(c.roots[0])
+        assert (var, c.expand(high)[1]) == (1, MAX_VAR)
+        assert c.validate().ok
+
+
+@pytest.mark.parametrize("backend", ["pure", "interned", "both"])
+def test_check_variable_above_max_var_exits_2(formula_file, capsys, backend):
+    path = formula_file(f"x{MAX_VAR + 1} & x1")
+    assert main(["check", "sat", path, "--backend", backend]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: 1:1: variable index too large; the largest is x{MAX_VAR}"
+    ]
 
 
 ORACLE_VARS = 6

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from bddhc.core import (
     LEAF_FALSE,
     LEAF_TRUE,
+    MAX_VAR,
     And,
     Const,
     Node,
@@ -74,6 +75,14 @@ def test_formula_operators():
 def test_ref_rejects_zero_index():
     with pytest.raises(VarOutOfRange):
         Ref(0)
+
+
+def test_ref_takes_indices_up_to_max_var():
+    assert Ref(MAX_VAR).var == 2**31 - 1
+    with pytest.raises(VarOutOfRange):
+        Ref(MAX_VAR + 1)
+    with pytest.raises(VarOutOfRange):
+        Ref(2**40)
 
 
 def test_eval_formula():

@@ -7,6 +7,7 @@ from hypothesis import given
 from bddhc.core import (
     LEAF_FALSE,
     LEAF_TRUE,
+    MAX_VAR,
     And,
     Const,
     Node,
@@ -64,6 +65,16 @@ def test_parse_var_index_zero():
     with pytest.raises(VarIndexZero) as exc:
         parse("x1 & x0")
     assert exc.value.column == 6
+
+
+def test_parse_var_index_up_to_max_var():
+    assert parse(f"x1 & x{MAX_VAR}") == And(Ref(1), Ref(MAX_VAR))
+    for index in (MAX_VAR + 1, "9" * 5000):
+        with pytest.raises(ParseError) as exc:
+            parse(f"x1 & x{index}")
+        assert type(exc.value) is ParseError
+        assert exc.value.column == 6
+        assert str(exc.value).endswith(f"too large; the largest is x{MAX_VAR}")
 
 
 def test_parse_bare_x():

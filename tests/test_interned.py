@@ -14,7 +14,10 @@ from bddhc.core import (
 from bddhc import frontend, interned, oracle, pure
 from bddhc._pykernel import Handle as PyHandle, Manager as PyManager
 
+from conftest import COMPILED_MISSING
 from util import gen_trace, play_interned
+
+needs_compiled = pytest.mark.skipif(not interned.HAVE_SPEEDUPS, reason=COMPILED_MISSING)
 
 
 # -- manager construction ----------------------------------------------
@@ -94,7 +97,7 @@ def test_foreign_handle_same_kernel(kernel):
         m1.structural_eq(m1.true, m2.true)
 
 
-@pytest.mark.skipif(not interned.HAVE_SPEEDUPS, reason="compiled kernel unavailable")
+@needs_compiled
 def test_foreign_handle_across_kernels():
     mp = interned.new_manager("python")
     mc = interned.new_manager("compiled")
@@ -257,7 +260,6 @@ def test_binop_miss_count_bounded(manager):
 
 
 def test_uid_accessors(manager):
-    assert interned.uid(manager.true) == manager.true.uid
     h = manager.node(1, manager.false, manager.true)
     uids = {manager.true.uid, manager.false.uid, h.uid}
     assert len(uids) == 3
@@ -368,7 +370,7 @@ def test_clear_caches_does_not_change_uids(kernel):
 # -- cross-kernel parity -----------------------------------------------------
 
 
-@pytest.mark.skipif(not interned.HAVE_SPEEDUPS, reason="compiled kernel unavailable")
+@needs_compiled
 def test_kernels_agree_on_uids_and_stats():
     rng = random.Random(41)
     for _ in range(10):
@@ -382,10 +384,11 @@ def test_kernels_agree_on_uids_and_stats():
         assert mp.pool_size() == mc.pool_size()
 
 
-@pytest.mark.skipif(not interned.HAVE_SPEEDUPS, reason="compiled kernel unavailable")
+@needs_compiled
 def test_kernel_selection():
     assert interned.kernel_name() == "compiled"
-    assert interned.Manager is interned.CompiledManager
+    assert interned.available_kernels() == ["python", "compiled"]
+    assert interned.new_manager().IMPL == "compiled"
     assert interned.new_manager("python").IMPL == "python"
     assert interned.new_manager("compiled").IMPL == "compiled"
     with pytest.raises(ValueError):

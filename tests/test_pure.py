@@ -400,8 +400,9 @@ def test_monotonic_extension_preserves_bindings():
     a, st1 = pure.mk_node(st0, LEAF_FALSE, 2, LEAF_TRUE)
     b, st2 = pure.mk_node(st1, LEAF_TRUE, 1, a)
     assert st2.next >= st1.next
+    st2_graph = st2.graph
     for node_id, node in st1.graph.items():
-        assert st2.graph[node_id] == node
+        assert st2_graph[node_id] == node
     # old version still answers as before
     assert len(st1.graph) == 1
     assert a in st1.graph and b not in st1.graph
@@ -433,6 +434,25 @@ def test_hmap_view_hides_descendants():
     assert node2 not in st1.hmap
     with pytest.raises(KeyError):
         st1.hmap[node2]
+
+
+def test_returned_tables_are_the_callers_copies():
+    # a version hands out plain dicts; writing to them leaves the store as it was
+    ref, st = frontend.compile_pure(frontend.parse("x1 & !x2 | x3"), pure.empty_store())
+    text = pure.store_to_text(st)
+    report = pure.validate_store(st, check_memo_semantics=True)
+    assert report.ok
+    before = (st.graph, st.hmap, st.memo)
+    graph, hmap, mand = st.graph, st.hmap, st.memo.mand
+    assert mand
+    graph[ref] = Node(LEAF_TRUE, 9, LEAF_FALSE)
+    graph[99] = Node(LEAF_FALSE, 9, LEAF_TRUE)
+    hmap.clear()
+    for key in mand:
+        mand[key] = LEAF_TRUE
+    assert (st.graph, st.hmap, st.memo) == before
+    assert pure.store_to_text(st) == text
+    assert pure.validate_store(st, check_memo_semantics=True) == report
 
 
 def test_memo_cleared_store_is_isolated():
@@ -532,8 +552,9 @@ def test_wellformed_after_random_traces():
 
         def on_step(pre, post, ref):
             assert pure.validate_store(post).ok
+            post_graph = post.graph
             for node_id, node in pre.graph.items():
-                assert post.graph[node_id] == node
+                assert post_graph[node_id] == node
             checked.append(ref)
 
         play_pure(ops, on_step=on_step)
