@@ -1,8 +1,12 @@
 """Pure-Python kernel for the interned backend.
 
-Same observable behavior as the compiled kernel in ``_speedups``: given
-the same call sequence, both assign identical uids and report identical
-statistics.  ``bddhc.interned`` picks one of the two at import time.
+Same observable behavior as the hand-written C kernel in ``_speedups.c``:
+given the same call sequence, both assign identical uids, raise the same
+errors and report identical statistics.  Only the compiled ``node`` also
+rejects a variable above ``core.MAX_VAR``, which its C ``int`` cannot
+hold.  Both kernels draw manager tags from ``_manager_ids``, so a handle
+of one kernel is foreign to every manager of the other.
+``bddhc.interned`` picks one of the two at import time.
 
 Hot path
 ========
@@ -170,15 +174,6 @@ class Manager:
         if op not in _BINOPS:
             raise ValueError(f"unknown operation {op!r}")
         return self._apply_rec(self._ops[op], a, b)
-
-    def conj(self, a: Handle, b: Handle) -> Handle:
-        return self.apply_binop("and", a, b)
-
-    def disj(self, a: Handle, b: Handle) -> Handle:
-        return self.apply_binop("or", a, b)
-
-    def xor(self, a: Handle, b: Handle) -> Handle:
-        return self.apply_binop("xor", a, b)
 
     def _apply_rec(self, op: _Op, a: Handle, b: Handle) -> Handle:
         au, bu = a.uid, b.uid

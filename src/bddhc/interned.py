@@ -2,7 +2,7 @@
 
 Handles carry unique identifiers, so equality of functions is one integer
 comparison.  The hot kernel (node construction and the memoized
-operations) exists twice: a compiled Cython extension and a pure-Python
+operations) exists twice: a hand-written C extension and a pure-Python
 twin with identical observable behavior.  :func:`new_manager` uses the
 extension when it is built, and ``kernel=`` picks one explicitly.
 

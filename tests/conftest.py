@@ -20,13 +20,12 @@ SPEEDUPS_C = Path(__file__).resolve().parent.parent / "src" / "bddhc" / "_speedu
 def _load_compiled_kernel() -> str:
     """Make the compiled kernel importable as ``bddhc._speedups``.
 
-    A kernel that is already built is used as it is.  Otherwise the
-    shipped ``_speedups.c`` is compiled, as ``setup.py`` compiles it, into
-    a temporary directory removed at exit, and ``bddhc.interned`` is
-    reloaded to pick it up.  Returns why the kernel is missing, or ``""``.
+    ``_speedups.c`` is compiled, as ``setup.py`` compiles it, into a
+    temporary directory removed at exit, and ``bddhc.interned`` is reloaded
+    to pick it up.  It is built even when a kernel is already importable,
+    so the suite tests the tree's source, never a stale in-place build.
+    Returns why the kernel is missing, or ``""``.
     """
-    if interned.HAVE_SPEEDUPS:
-        return ""
     from setuptools import Distribution, Extension
     from setuptools.command.build_ext import build_ext
 

@@ -1,16 +1,24 @@
+import gc
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bddhc.core import (
     LEAF_FALSE,
     LEAF_TRUE,
+    MAX_VAR,
+    BddError,
     ForeignHandle,
     InvalidChild,
     OrderViolation,
+    Ref,
     VarOutOfRange,
 )
+import bddhc
 from bddhc import frontend, interned, oracle, pure
 from bddhc._pykernel import Handle as PyHandle, Manager as PyManager
 
@@ -129,6 +137,24 @@ def test_node_bad_var_message(manager, var):
         manager.node(var, manager.false, manager.true)
     assert type(err.value) is VarOutOfRange
     assert str(err.value) == f"variable index must be a positive integer, got {var!r}"
+
+
+@needs_compiled
+@pytest.mark.parametrize("var", [MAX_VAR + 1, 2**40, 2**64])
+def test_compiled_node_rejects_var_above_max_var(var):
+    # a C int holds the variable; Ref gives the same error for the same index
+    m = interned.new_manager("compiled")
+    with pytest.raises(VarOutOfRange) as ref_err:
+        Ref(var)
+    with pytest.raises(VarOutOfRange) as err:
+        m.node(var, m.false, m.true)
+    assert type(err.value) is VarOutOfRange
+    assert str(err.value) == str(ref_err.value)
+    assert str(err.value) == f"variable index must be at most {MAX_VAR}, got {var}"
+    # the bound is checked right after the variable, before the children
+    with pytest.raises(VarOutOfRange):
+        m.node(var, "nope", m.true)
+    assert m.node(MAX_VAR, m.false, m.true).var == MAX_VAR
 
 
 def test_node_accepts_int_subclass_var(manager):
@@ -456,3 +482,90 @@ def test_import_pure_matches_interned_compile(manager):
     mirrored = interned.import_pure(manager, st, ref)
     direct = frontend.compile_interned(f, manager)
     assert manager.structural_eq(mirrored, direct)
+
+
+# -- the compiled kernel's contract, memory and deep diagrams ----------------
+
+
+def test_kernel_has_every_public_name_of_the_python_kernel(manager):
+    def public(obj):
+        return {name for name in dir(obj) if not name.startswith("_")}
+
+    python = PyManager()
+    h = manager.node(1, manager.false, manager.true)
+    assert public(python) <= public(manager)
+    assert public(python.node(1, python.false, python.true)) <= public(h)
+    with pytest.raises(TypeError):
+        type(h)()
+    if manager.IMPL == "compiled":
+        # handles are acyclic, so the cyclic collector never sees them
+        assert not gc.is_tracked(h)
+        # the kernel reads table entries as handles, so it checks their type
+        manager.memo_entries()["not"][h.uid] = "junk"
+        with pytest.raises(TypeError, match="is not a handle: 'junk'"):
+            manager.neg(h)
+
+
+def _exercise(m, other):
+    """Compile, apply, every error path of the kernel's methods, reset."""
+    f = frontend.parse("(x1 ^ x2) & (x3 | !x4) | (x2 & !x5)")
+    h = frontend.compile_interned(f, m)
+    for op in ("and", "or", "xor"):
+        m.apply_binop(op, h, m.neg(h))
+    failing = [
+        lambda: m.node(0, m.false, m.true),
+        lambda: m.node(MAX_VAR + 1, m.false, m.true),  # compiled kernel only
+        lambda: m.node(1, "nope", m.true),
+        lambda: m.node(1, other.false, m.true),
+        lambda: m.node(h.var, h, m.true),
+        lambda: m.neg(5),
+        lambda: m.apply_binop("nand", h, h),
+        lambda: m.apply_binop(["and"], h, h),
+    ]
+    for call in failing:
+        try:
+            call()
+        except (BddError, ValueError):
+            pass
+    repr(h), m.stats(), m.memo_entries(), list(m.iter_pool()), m.structural_eq(h, h)
+    m.reset()
+
+
+def test_kernel_frees_what_it_allocates(kernel):
+    m, other = interned.new_manager(kernel), interned.new_manager(kernel)
+    _exercise(m, other)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(20):
+        _exercise(m, other)
+    gc.collect()
+    # an object lost per round would show as at least 20 blocks
+    assert sys.getallocatedblocks() - before < 20
+
+
+_DEEP_CHAIN = """
+import importlib, sys
+sys.path.insert(0, sys.argv[2])
+import bddhc
+bddhc.__path__.insert(0, sys.argv[3])
+m = importlib.import_module(sys.argv[1]).Manager()
+h = m.true
+for v in range(10**6, 0, -1):
+    h = m.node(v, m.false, h)
+del h
+m.reset()
+"""
+
+
+def test_freeing_a_deep_diagram_keeps_the_c_stack_flat(manager):
+    # each handle holds its child, so freeing the root frees a 10**6 chain
+    kernel = sys.modules[type(manager).__module__]
+    src = Path(bddhc.__file__).parent.parent
+    args = [kernel.__name__, str(src), str(Path(kernel.__file__).parent)]
+    run = subprocess.run(
+        [sys.executable, "-c", _DEEP_CHAIN, *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
