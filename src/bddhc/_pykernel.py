@@ -1,12 +1,14 @@
-"""Pure-Python kernel for the interned backend.
+"""Python kernel of the interned backend, and the API both kernels share.
 
-Same observable behavior as the hand-written C kernel in ``_speedups.c``:
-given the same call sequence, both assign identical uids, raise the same
-errors and report identical statistics.  Only the compiled ``node`` also
-rejects a variable above ``core.MAX_VAR``, which its C ``int`` cannot
-hold.  Both kernels draw manager tags from ``_manager_ids``, so a handle
-of one kernel is foreign to every manager of the other.
-``bddhc.interned`` picks one of the two at import time.
+``ManagerBase`` writes the manager methods off the hot path once, over
+what each kernel provides (see its docstring).  ``Manager`` here and the
+hand-written C kernel in ``_speedups.c`` add only the hot path: ``node``,
+``neg``, ``apply_binop`` and ``reset``.  Given the same call sequence,
+both assign identical uids, raise the same errors and report identical
+statistics.  Only the compiled ``node`` also rejects a variable above
+``core.MAX_VAR``, which its C ``int`` cannot hold.  Both kernels draw
+manager tags from ``_manager_ids``, so a handle of one kernel is foreign
+to every manager of the other.  ``bddhc.interned`` lists the kernels.
 
 Hot path
 ========
@@ -25,12 +27,11 @@ and/or/xor share one memoized Shannon expansion, ``_apply_rec(op, a, b)``.
 memo table and hit/miss counters), looked up once by ``apply_binop``;
 the leaf rules read ``op.kind`` only when an operand is a leaf or both
 are the same node.  ``_neg_rec`` keeps its own recursion on the ``not``
-record, and ``stats``/``memo_entries``/``clear_caches``/``reset_stats``
-loop over the four records.  Against the three copied recursions this
-replaced, perfbench on a 2-vCPU VM (Python 3.11.7, 10 alternated pairs
-per workload) gave ``jobs_per_s.interned`` medians of 1.011 against
-1.036 on queens and 194 against 207 on equiv, each gap inside the
-older code's interquartile range (0.094 and 17).  Binding
+record.  Against the three copied recursions this replaced, perfbench on
+a 2-vCPU VM (Python 3.11.7, 10 alternated pairs per workload) gave
+``jobs_per_s.interned`` medians of 1.011 against 1.036 on queens and 194
+against 207 on equiv, each gap inside the older code's interquartile
+range (0.094 and 17).  Binding
 ``self._apply_rec`` to a local per call measured slower and is not
 used.  The recursions call ``self.node`` and ``self._neg_rec`` through
 the instance, so a wrapper set as an instance attribute (a tracer, say)
@@ -90,9 +91,64 @@ class _Op:
 
 _BINOPS = ("and", "or", "xor")
 _OPS = ("not",) + _BINOPS
+_STAT_KEYS = ("intern_hits", "intern_misses") + tuple(
+    f"{kind}_{field}" for kind in _OPS for field in ("hits", "misses")
+)
 
 
-class Manager:
+class ManagerBase:
+    """The manager methods off the hot path, written once for both kernels.
+
+    A kernel provides the leaves ``true``/``false``, the unique table
+    ``_unique``, ``_memos`` (a fixed dict from operation name to memo
+    table), one readable counter per name in ``_STAT_KEYS``, ``IMPL``
+    and the hot methods ``node``, ``neg``, ``apply_binop`` and ``reset``.
+    """
+
+    __slots__ = ()
+
+    def constant(self, value: bool) -> Handle:
+        return self.true if value else self.false
+
+    def structural_eq(self, a: Handle, b: Handle) -> bool:
+        """Constant-time equality; equivalent to deep tree comparison."""
+        self._check_owned(a)
+        self._check_owned(b)
+        return a.uid == b.uid
+
+    def pool_size(self) -> int:
+        """Live pool entries, the two leaves included."""
+        return 2 + len(self._unique)
+
+    def iter_pool(self) -> Iterator[Handle]:
+        yield self.true
+        yield self.false
+        yield from list(self._unique.values())
+
+    def stats(self) -> dict[str, int]:
+        return {k: getattr(self, k) for k in _STAT_KEYS}
+
+    def memo_entries(self) -> dict[str, dict]:
+        """Live cache tables, keyed by operation.  Read-only use."""
+        return dict(self._memos)
+
+    def clear_caches(self) -> None:
+        """Drop all memo tables (the pool is untouched)."""
+        for memo in self._memos.values():
+            memo.clear()
+
+    def _check_owned(self, h) -> None:
+        # another manager's or kernel's handle, or any other object with
+        # both ``tag`` and ``uid``, is foreign; anything else is no handle
+        true = self.true
+        if type(h) is type(true) and h.tag == true.tag:
+            return
+        if hasattr(h, "tag") and hasattr(h, "uid"):
+            raise ForeignHandle("handle belongs to a different manager")
+        raise InvalidChild(f"not a handle: {h!r}")
+
+
+class Manager(ManagerBase):
     """Mutable pool of hash-consed BDD nodes with memoized operations.
 
     One manager and its handles form a single-owner unit: constructing
@@ -111,6 +167,7 @@ class Manager:
         self._unique: dict[tuple[int, int, int], Handle] = {}
         self._ops = {kind: _Op(kind) for kind in _OPS}
         self._not = self._ops["not"]
+        self._memos = {kind: op.memo for kind, op in self._ops.items()}
         self.reset()
 
     # -- construction -------------------------------------------------
@@ -141,9 +198,6 @@ class Manager:
         self._next_uid += 1
         self._unique[key] = made
         return made
-
-    def constant(self, value: bool) -> Handle:
-        return self.true if value else self.false
 
     # -- operations ----------------------------------------------------
 
@@ -218,60 +272,17 @@ class Manager:
         op.memo[key] = made
         return made
 
-    # -- equality and inspection ---------------------------------------
-
-    def structural_eq(self, a: Handle, b: Handle) -> bool:
-        """Constant-time equality; equivalent to deep tree comparison."""
-        self._check_owned(a)
-        self._check_owned(b)
-        return a.uid == b.uid
-
-    def pool_size(self) -> int:
-        """Live pool entries, the two leaves included."""
-        return 2 + len(self._unique)
-
-    def iter_pool(self) -> Iterator[Handle]:
-        yield self.true
-        yield self.false
-        yield from list(self._unique.values())
-
-    def stats(self) -> dict[str, int]:
-        out = {"intern_hits": self.intern_hits, "intern_misses": self.intern_misses}
-        for op in self._ops.values():
-            out[f"{op.kind}_hits"] = op.hits
-            out[f"{op.kind}_misses"] = op.misses
-        return out
-
-    def memo_entries(self) -> dict[str, dict]:
-        """Live cache tables, keyed by operation.  Read-only use."""
-        return {kind: op.memo for kind, op in self._ops.items()}
-
-    def clear_caches(self) -> None:
-        """Drop all memo tables (the pool is untouched)."""
-        for op in self._ops.values():
-            op.memo.clear()
-
-    def reset_stats(self) -> None:
-        self.intern_hits = self.intern_misses = 0
-        for op in self._ops.values():
-            op.hits = op.misses = 0
-
     def reset(self) -> None:
         """Empty the pool and caches; previously issued handles are dead."""
         self._tag = next(_manager_ids)
         self._unique.clear()
-        self.clear_caches()
-        self.reset_stats()
+        self.intern_hits = self.intern_misses = 0
+        for op in self._ops.values():
+            op.memo.clear()
+            op.hits = op.misses = 0
         self.true = Handle(1, 0, None, None, 1, self._tag)
         self.false = Handle(2, 0, None, None, 0, self._tag)
         self._next_uid = 3
-
-    def _check_owned(self, h: Handle) -> None:
-        tag = getattr(h, "tag", None)
-        if tag != self._tag:
-            if tag is None:
-                raise InvalidChild(f"not a handle: {h!r}")
-            raise ForeignHandle("handle belongs to a different manager")
 
 
 def _counter(kind: str, field: str) -> property:

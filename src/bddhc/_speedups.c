@@ -1,11 +1,16 @@
-/* Compiled kernel for the interned backend.
+/* Compiled hot path of the interned backend.
  *
- * A hand-written CPython extension with the same contract as the Python
- * kernel in bddhc/_pykernel.py: given the same call sequence, both assign
- * identical uids, raise the same exceptions with the same messages, and
- * report identical statistics.  The unique table and the memo tables are
- * dicts keyed as the Python kernel keys them, (var, low uid, high uid) for
- * the unique table, uid for negation and (uid, uid) for and/or/xor.
+ * A hand-written CPython extension holding only what must run fast: the
+ * Handle type and a base Manager type with node, neg, apply_binop, reset,
+ * the leaves, the counters and reduce_nodes.  Every other manager method is
+ * written once, in Python, in bddhc._pykernel.ManagerBase, which reads the
+ * read-only _unique and _memos members defined here; bddhc.interned
+ * combines the two into the compiled kernel's manager class.  Given the
+ * same call sequence, this kernel and the Python one assign identical uids,
+ * raise the same exceptions with the same messages, and report identical
+ * statistics.  The unique table and the memo tables are dicts keyed as the
+ * Python kernel keys them, (var, low uid, high uid) for the unique table,
+ * uid for negation and (uid, uid) for and/or/xor.
  *
  * Handle is not a GC type.  A handle refers only to its two children, which
  * are older and immutable, so handles never form a cycle and the cyclic
@@ -143,6 +148,7 @@ typedef struct {
     long long next_uid;
     HandleObject *true_, *false_;
     PyObject *unique;
+    PyObject *memos;                 /* operation name -> ops[i].memo */
     long long intern_hits, intern_misses;
     Op ops[N_OPS];
     char reduce_nodes;
@@ -379,8 +385,11 @@ manager_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     m->reduce_nodes = (char)reduce_nodes;
     if ((m->unique = PyDict_New()) == NULL)
         goto error;
+    if ((m->memos = PyDict_New()) == NULL)
+        goto error;
     for (int i = 0; i < N_OPS; i++)
-        if ((m->ops[i].memo = PyDict_New()) == NULL)
+        if ((m->ops[i].memo = PyDict_New()) == NULL
+            || PyDict_SetItem(m->memos, op_names[i], m->ops[i].memo) < 0)
             goto error;
     if (manager_clear(m) < 0)
         goto error;
@@ -394,6 +403,7 @@ static int
 manager_traverse(ManagerObject *m, visitproc visit, void *arg)
 {
     Py_VISIT(m->unique);
+    Py_VISIT(m->memos);
     for (int i = 0; i < N_OPS; i++)
         Py_VISIT(m->ops[i].memo);
     return 0;
@@ -404,6 +414,7 @@ manager_dealloc(ManagerObject *m)
 {
     PyObject_GC_UnTrack(m);
     Py_XDECREF(m->unique);
+    Py_XDECREF(m->memos);
     for (int i = 0; i < N_OPS; i++)
         Py_XDECREF(m->ops[i].memo);
     Py_XDECREF(m->true_);
@@ -477,15 +488,6 @@ manager_node(ManagerObject *m, PyObject *const *args, Py_ssize_t nargs)
     return (PyObject *)mk_node(m, var, low, high);
 }
 
-static PyObject *
-manager_constant(ManagerObject *m, PyObject *value)
-{
-    int truth = PyObject_IsTrue(value);
-    if (truth < 0)
-        return NULL;
-    return Py_NewRef(truth ? m->true_ : m->false_);
-}
-
 PyDoc_STRVAR(neg_doc, "Pointwise complement, memoized per node.");
 
 static PyObject *
@@ -518,92 +520,6 @@ manager_apply_binop(ManagerObject *m, PyObject *const *args, Py_ssize_t nargs)
     return NULL;
 }
 
-PyDoc_STRVAR(structural_eq_doc,
-"Constant-time equality; equivalent to deep tree comparison.");
-
-static PyObject *
-manager_structural_eq(ManagerObject *m, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_nargs("structural_eq", nargs, 2) < 0)
-        return NULL;
-    if (check_owned(m, args[0]) < 0 || check_owned(m, args[1]) < 0)
-        return NULL;
-    return PyBool_FromLong(args[0] == args[1]);
-}
-
-PyDoc_STRVAR(pool_size_doc, "Live pool entries, the two leaves included.");
-
-static PyObject *
-manager_pool_size(ManagerObject *m, PyObject *unused)
-{
-    return PyLong_FromSsize_t(2 + PyDict_GET_SIZE(m->unique));
-}
-
-static PyObject *
-manager_iter_pool(ManagerObject *m, PyObject *unused)
-{
-    PyObject *pool = PyDict_Values(m->unique);
-    if (pool == NULL)
-        return NULL;
-    if (PyList_Insert(pool, 0, (PyObject *)m->false_) < 0
-        || PyList_Insert(pool, 0, (PyObject *)m->true_) < 0) {
-        Py_DECREF(pool);
-        return NULL;
-    }
-    PyObject *it = PyObject_GetIter(pool);
-    Py_DECREF(pool);
-    return it;
-}
-
-static PyObject *
-manager_stats(ManagerObject *m, PyObject *unused)
-{
-    return Py_BuildValue(
-        "{sLsLsLsLsLsLsLsLsLsL}",
-        "intern_hits", m->intern_hits, "intern_misses", m->intern_misses,
-        "not_hits", m->ops[OP_NOT].hits, "not_misses", m->ops[OP_NOT].misses,
-        "and_hits", m->ops[OP_AND].hits, "and_misses", m->ops[OP_AND].misses,
-        "or_hits", m->ops[OP_OR].hits, "or_misses", m->ops[OP_OR].misses,
-        "xor_hits", m->ops[OP_XOR].hits, "xor_misses", m->ops[OP_XOR].misses);
-}
-
-PyDoc_STRVAR(memo_entries_doc,
-"Live cache tables, keyed by operation.  Read-only use.");
-
-static PyObject *
-manager_memo_entries(ManagerObject *m, PyObject *unused)
-{
-    PyObject *out = PyDict_New();
-    if (out == NULL)
-        return NULL;
-    for (int i = 0; i < N_OPS; i++) {
-        if (PyDict_SetItem(out, op_names[i], m->ops[i].memo) < 0) {
-            Py_DECREF(out);
-            return NULL;
-        }
-    }
-    return out;
-}
-
-PyDoc_STRVAR(clear_caches_doc, "Drop all memo tables (the pool is untouched).");
-
-static PyObject *
-manager_clear_caches(ManagerObject *m, PyObject *unused)
-{
-    for (int i = 0; i < N_OPS; i++)
-        PyDict_Clear(m->ops[i].memo);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-manager_reset_stats(ManagerObject *m, PyObject *unused)
-{
-    m->intern_hits = m->intern_misses = 0;
-    for (int i = 0; i < N_OPS; i++)
-        m->ops[i].hits = m->ops[i].misses = 0;
-    Py_RETURN_NONE;
-}
-
 PyDoc_STRVAR(reset_doc,
 "Empty the pool and caches; previously issued handles are dead.");
 
@@ -615,28 +531,11 @@ manager_reset(ManagerObject *m, PyObject *unused)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-manager_impl(ManagerObject *m, void *closure)
-{
-    return PyUnicode_FromString("compiled");
-}
-
 static PyMethodDef manager_methods[] = {
     {"node", (PyCFunction)(void (*)(void))manager_node, METH_FASTCALL, node_doc},
-    {"constant", (PyCFunction)manager_constant, METH_O, NULL},
     {"neg", (PyCFunction)manager_neg, METH_O, neg_doc},
     {"apply_binop", (PyCFunction)(void (*)(void))manager_apply_binop,
      METH_FASTCALL, apply_binop_doc},
-    {"structural_eq", (PyCFunction)(void (*)(void))manager_structural_eq,
-     METH_FASTCALL, structural_eq_doc},
-    {"pool_size", (PyCFunction)manager_pool_size, METH_NOARGS, pool_size_doc},
-    {"iter_pool", (PyCFunction)manager_iter_pool, METH_NOARGS, NULL},
-    {"stats", (PyCFunction)manager_stats, METH_NOARGS, NULL},
-    {"memo_entries", (PyCFunction)manager_memo_entries, METH_NOARGS,
-     memo_entries_doc},
-    {"clear_caches", (PyCFunction)manager_clear_caches, METH_NOARGS,
-     clear_caches_doc},
-    {"reset_stats", (PyCFunction)manager_reset_stats, METH_NOARGS, NULL},
     {"reset", (PyCFunction)manager_reset, METH_NOARGS, reset_doc},
     {NULL},
 };
@@ -648,6 +547,8 @@ static PyMemberDef manager_members[] = {
     {"reduce_nodes", T_BOOL, offsetof(ManagerObject, reduce_nodes), READONLY, NULL},
     {"true", T_OBJECT, offsetof(ManagerObject, true_), READONLY, NULL},
     {"false", T_OBJECT, offsetof(ManagerObject, false_), READONLY, NULL},
+    {"_unique", T_OBJECT, offsetof(ManagerObject, unique), READONLY, NULL},
+    {"_memos", T_OBJECT, offsetof(ManagerObject, memos), READONLY, NULL},
     COUNTER("intern_hits", intern_hits),
     COUNTER("intern_misses", intern_misses),
     COUNTER("not_hits", ops[OP_NOT].hits),
@@ -661,23 +562,18 @@ static PyMemberDef manager_members[] = {
     {NULL},
 };
 
-static PyGetSetDef manager_getset[] = {
-    {"IMPL", (getter)manager_impl, NULL, NULL, NULL},
-    {NULL},
-};
-
 static PyTypeObject ManagerType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "bddhc._speedups.Manager",
-    .tp_doc = "Compiled twin of ``bddhc._pykernel.Manager``; same contract.",
+    .tp_doc = "Hot path of the compiled kernel's manager; the rest of its "
+              "API comes from ``bddhc._pykernel.ManagerBase``.",
     .tp_basicsize = sizeof(ManagerObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
     .tp_new = manager_new,
     .tp_dealloc = (destructor)manager_dealloc,
     .tp_traverse = (traverseproc)manager_traverse,
     .tp_methods = manager_methods,
     .tp_members = manager_members,
-    .tp_getset = manager_getset,
 };
 
 /* ------------------------------------------------------------------ */
@@ -697,8 +593,8 @@ import_from(const char *module, const char *name)
 static struct PyModuleDef speedups_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "bddhc._speedups",
-    .m_doc = "Compiled kernel for the interned backend; same contract as "
-             "bddhc._pykernel.",
+    .m_doc = "Compiled hot path of the interned backend's kernel; see "
+             "bddhc._pykernel.ManagerBase for the rest of its API.",
     .m_size = -1,
 };
 

@@ -288,7 +288,7 @@ def cmd_bench(args) -> int:
         kernels = [interned.kernel_name()]
     else:
         kernels = [args.kernel]
-        if args.kernel == "compiled" and not interned.HAVE_SPEEDUPS:
+        if args.kernel not in interned.available_kernels():
             print("error: compiled kernel is not available", file=sys.stderr)
             return 2
     kernels_of = {"pure": ["python"], "interned": kernels}

@@ -1,10 +1,12 @@
 """Interned BDD backend: a mutable manager enforcing maximal sharing.
 
 Handles carry unique identifiers, so equality of functions is one integer
-comparison.  The hot kernel (node construction and the memoized
-operations) exists twice: a hand-written C extension and a pure-Python
-twin with identical observable behavior.  :func:`new_manager` uses the
-extension when it is built, and ``kernel=`` picks one explicitly.
+comparison.  The hot path (node construction, the memoized operations and
+``reset``) exists twice: in the hand-written C extension ``_speedups`` and
+in the Python kernel ``_pykernel``, with identical observable behavior.
+Every other manager method is written once, in ``_pykernel.ManagerBase``,
+which both kernels' manager classes inherit.  :func:`new_manager` uses
+the C kernel when it is built, and ``kernel=`` picks one explicitly.
 
 This module also hosts what does not need to be fast: validation, DOT
 export, and :func:`expand`, through which :mod:`bddhc.graph` reads the
@@ -23,14 +25,17 @@ try:
 except ImportError:
     pass
 else:
-    _KERNELS["compiled"] = _speedups.Manager
 
-HAVE_SPEEDUPS = "compiled" in _KERNELS
+    class _CompiledManager(_speedups.Manager, _pykernel.ManagerBase):
+        __slots__ = ()
+        IMPL = "compiled"
+
+    _KERNELS["compiled"] = _CompiledManager
 
 
 def kernel_name() -> str:
     """The kernel ``new_manager`` uses by default: compiled when built."""
-    return "compiled" if HAVE_SPEEDUPS else "python"
+    return "compiled" if "compiled" in _KERNELS else "python"
 
 
 def available_kernels() -> list[str]:

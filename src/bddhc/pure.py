@@ -59,8 +59,9 @@ Serialization
 
 with one record per node in increasing id order; ``<low>``/``<high>`` are
 ``T``, ``F`` or a node id.  Every number is ASCII decimal, so ``+1``,
-``1_0`` or another script's digits fail to load.  Memo tables are caches
-and are not serialized.  Loading rebuilds the inverse map mechanically, so a corrupt
+``1_0`` or another script's digits fail to load, and so do a record id
+or ``<N>`` above the record count + 1.  Memo tables are caches and are
+not serialized.  Loading rebuilds the inverse map mechanically, so a corrupt
 file yields a store whose defects ``validate_store`` reports rather than
 an import error.
 """
@@ -685,17 +686,25 @@ def store_from_text(text: str) -> Store:
         raise BddError("line 2: expected 'next <id>'")
     if next_id < 1:
         raise BddError("line 2: next must be positive")
+    records = [
+        (lineno, raw.split())
+        for lineno, raw in enumerate(lines[2:], start=3)
+        if raw.strip()
+    ]
+    # ids are dense in every file ``store_to_text`` writes, so this bounds
+    # the arena ``store_from_parts`` allocates by the size of the file
+    bound = len(records) + 1
     graph: dict[int, Node] = {}
-    for lineno, raw in enumerate(lines[2:], start=3):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields in records:
         if len(fields) != 4:
             raise BddError(f"line {lineno}: expected 'id low var high'")
         node_id = _parse_ref(fields[0], lineno)
         if isinstance(node_id, Leaf):
             raise BddError(f"line {lineno}: record id must be a number")
+        if node_id > bound:
+            raise BddError(
+                f"line {lineno}: record id {node_id} is above the record count + 1"
+            )
         low = _parse_ref(fields[1], lineno)
         high = _parse_ref(fields[3], lineno)
         var = parse_decimal(fields[2])
@@ -706,4 +715,6 @@ def store_from_text(text: str) -> Store:
         if node_id in graph:
             raise BddError(f"line {lineno}: duplicate record for id {node_id}")
         graph[node_id] = Node(low, var, high)
+    if next_id > bound:
+        raise BddError(f"line 2: next {next_id} is above the record count + 1")
     return store_from_parts(graph, next_id=next_id)

@@ -381,6 +381,14 @@ def test_bench_kernel_both(capsys):
     assert kernels == set(interned.available_kernels())
 
 
+def test_bench_without_the_compiled_kernel_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(interned, "_KERNELS", {"python": interned._KERNELS["python"]})
+    assert main(["bench", "queens", "--sizes", "4", "--kernel", "compiled"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: compiled kernel is not available\n"
+
+
 def test_bench_identical_counters_across_backends(capsys):
     assert main(["bench", "queens", "--sizes", "4", "--backend", "both"]) == 0
     rows, _ = _bench_rows(capsys)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,10 +23,9 @@ import bddhc
 from bddhc import frontend, interned, oracle, pure
 from bddhc._pykernel import Handle as PyHandle, Manager as PyManager
 
-from conftest import COMPILED_MISSING
 from util import gen_trace, play_interned
 
-needs_compiled = pytest.mark.skipif(not interned.HAVE_SPEEDUPS, reason=COMPILED_MISSING)
+needs_compiled = pytest.mark.usefixtures("compiled_kernel")
 
 
 # -- manager construction ----------------------------------------------
@@ -125,6 +125,33 @@ def test_non_handle_rejected(manager):
     with pytest.raises(InvalidChild) as err:
         manager.node(1, manager.true, 5)
     assert str(err.value) == "not a handle: 5"
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        # an object with ``tag`` and ``uid`` is foreign, even with this tag
+        ({"uid": 99, "terminal": -1, "var": 7}, ForeignHandle),
+        ({"tag": 123}, InvalidChild),
+        ({"tag": None, "uid": 5}, ForeignHandle),
+    ],
+    ids=["own-tag-and-uid", "tag-only", "tag-none-and-uid"],
+)
+def test_ownership_rule_is_the_same_on_every_kernel(manager, fields, error):
+    h = manager.node(3, manager.false, manager.true)
+    fake = SimpleNamespace(tag=h.tag, low=manager.false, high=manager.true)
+    vars(fake).update(fields)
+    calls = [
+        lambda: manager.node(1, fake, manager.true),
+        lambda: manager.node(1, manager.false, fake),
+        lambda: manager.neg(fake),
+        lambda: manager.structural_eq(h, fake),
+    ]
+    for call in calls:
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error
+    assert manager.pool_size() == 3
 
 
 # The constructor's exact exception types and messages; every kernel
@@ -559,7 +586,9 @@ m.reset()
 
 def test_freeing_a_deep_diagram_keeps_the_c_stack_flat(manager):
     # each handle holds its child, so freeing the root frees a 10**6 chain
-    kernel = sys.modules[type(manager).__module__]
+    # the module of the manager class that defines the hot path
+    hot = next(cls for cls in type(manager).__mro__ if "node" in vars(cls))
+    kernel = sys.modules[hot.__module__]
     src = Path(bddhc.__file__).parent.parent
     args = [kernel.__name__, str(src), str(Path(kernel.__file__).parent)]
     run = subprocess.run(

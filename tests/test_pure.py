@@ -633,6 +633,21 @@ def test_store_text_rejects_malformed(text):
         pure.store_from_text(text)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # an arena sized by the id would not fit in memory
+        ("bddhc-store 1\nnext 5\n4611686018427387904 F 1 T\n", 3),
+        # nor would the first node made on top of this store
+        ("bddhc-store 1\nnext 4611686018427387904\n", 2),
+    ],
+    ids=["record-id", "next"],
+)
+def test_store_text_rejects_ids_above_the_record_count(text, line):
+    with pytest.raises(BddError, match=f"^line {line}: .* is above the record count"):
+        pure.store_from_text(text)
+
+
 def test_loaded_corrupt_store_is_flagged_not_raised():
     text = "bddhc-store 1\nnext 2\n1 5 1 T\n"  # child 5 is not below next
     loaded = pure.store_from_text(text)
