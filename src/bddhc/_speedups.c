@@ -27,6 +27,13 @@
 /* core.MAX_VAR: a variable is kept in a C int. */
 #define MAX_VAR INT_MAX
 
+/* neg_rec and apply_rec recurse on the C stack, one level per variable of
+ * the diagram.  With an 8 MiB stack (Python 3.11.7, gcc), neg of a chain
+ * built with node() worked at 120 000 levels and crashed at 150 000, and
+ * apply_binop("or") worked at 70 000 and crashed at 100 000.  Past this
+ * depth both raise RecursionError, as the Python kernel does. */
+#define MAX_DEPTH 30000
+
 /* From bddhc.core and bddhc._pykernel, set at import. */
 static PyObject *ForeignHandle, *InvalidChild, *OrderViolation, *VarOutOfRange;
 static PyObject *check_var, *manager_ids;
@@ -151,6 +158,7 @@ typedef struct {
     PyObject *memos;                 /* operation name -> ops[i].memo */
     long long intern_hits, intern_misses;
     Op ops[N_OPS];
+    int depth;                       /* of neg_rec and apply_rec */
     char reduce_nodes;
 } ManagerObject;
 
@@ -256,13 +264,28 @@ memo_get(Op *op, PyObject *key)
     return found;
 }
 
+/* Before recursing below a miss: one level deeper, or RecursionError. */
+static int
+enter_level(ManagerObject *m)
+{
+    if (m->depth < MAX_DEPTH) {
+        m->depth++;
+        return 0;
+    }
+    PyErr_SetString(PyExc_RecursionError,
+                    "maximum recursion depth exceeded in the compiled kernel");
+    return -1;
+}
+
 /* After a miss on ``key``: build the node from two results the caller
- * owns, and remember it in ``op``'s memo table. */
+ * owns, leave the level enter_level entered, and remember the node in
+ * ``op``'s memo table. */
 static HandleObject *
 memo_store(ManagerObject *m, Op *op, PyObject *key, int var,
            HandleObject *low, HandleObject *high)
 {
     HandleObject *made = NULL;
+    m->depth--;
     if (low != NULL && high != NULL)
         made = mk_node(m, var, low, high);
     Py_XDECREF(low);
@@ -281,7 +304,7 @@ neg_rec(ManagerObject *m, HandleObject *a)
     Op *op = &m->ops[OP_NOT];
     PyObject *key = Py_NewRef(a->uid);
     HandleObject *found = memo_get(op, key);
-    if (found != NULL || PyErr_Occurred()) {
+    if (found != NULL || PyErr_Occurred() || enter_level(m) < 0) {
         Py_DECREF(key);
         return found;
     }
@@ -318,7 +341,7 @@ apply_rec(ManagerObject *m, int kind, HandleObject *a, HandleObject *b)
     if (key == NULL)
         return NULL;
     HandleObject *found = memo_get(op, key);
-    if (found != NULL || PyErr_Occurred()) {
+    if (found != NULL || PyErr_Occurred() || enter_level(m) < 0) {
         Py_DECREF(key);
         return found;
     }

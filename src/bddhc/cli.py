@@ -4,9 +4,12 @@ Exit codes: 0 for a positive verdict (tautology / satisfiable /
 equivalent, or a passing self-test), 1 for the negative verdict or a
 failed self-test, 2 for usage errors and for any exception.  An exception
 is reported as one stderr line: ``error: <message>`` for an ``OSError``
-or ``BddError`` (an unreadable file, a parse error, the pure backend
-running out of fuel), ``error: <Type>: <message>`` for any other (a
+or ``BddError`` (an unreadable file, a parse error, a variable above
+``MAX_VAR``), ``error: <Type>: <message>`` for any other (a
 ``RecursionError``, say, or a bug).
+
+``check`` compiles on the backends ``--backend`` names; ``dot``, whose
+node names are uids, always compiles on the interned backend.
 
 ``bench`` writes comma-separated rows to stdout with the header::
 
@@ -21,10 +24,10 @@ consumers should skip lines starting with ``#``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -46,33 +49,6 @@ from .core import (
 BACKENDS = ("pure", "interned")
 QUEENS_SIZE_CAP = 8
 PIGEONHOLE_SIZE_CAP = 7
-
-
-@dataclass
-class RunReport:
-    """Counters and verdict for one command execution on one backend."""
-
-    command: str
-    backend: str
-    kernel: str
-    verdict: str
-    result_nodes: int
-    state_nodes: int
-    intern_hits: int
-    intern_misses: int
-    memo_hits: int
-    memo_misses: int
-    wall_s: float
-
-    def to_line(self) -> str:
-        return (
-            f"command={self.command} backend={self.backend} kernel={self.kernel} "
-            f"verdict={self.verdict} result_nodes={self.result_nodes} "
-            f"state_nodes={self.state_nodes} "
-            f"intern_hits={self.intern_hits} intern_misses={self.intern_misses} "
-            f"memo_hits={self.memo_hits} memo_misses={self.memo_misses} "
-            f"wall_s={self.wall_s:.6f}"
-        )
 
 
 def _memo_totals(stats: dict[str, int]) -> tuple[int, int]:
@@ -110,18 +86,17 @@ class _Compiled(NamedTuple):
     truth_table: Callable[[object, int], oracle.TruthTable]  # (root, n)
 
 
-def _compile(backend, formulas, kernel="auto", fuel=None, reduce_nodes=True) -> _Compiled:
+def _compile(backend, formulas, kernel="auto", reduce_nodes=True) -> _Compiled:
     """The only code of the tool that branches on the backend.
 
-    ``kernel`` picks the interned kernel and ``fuel`` bounds the pure
-    backend's recursion; the other backend ignores each.
+    ``kernel`` picks the interned kernel; the pure backend ignores it.
     """
     start = time.perf_counter()
     if backend == "pure":
         st = pure.empty_store(reduce_nodes=reduce_nodes)
         roots = []
         for f in formulas:
-            root, st = frontend.compile_pure(f, st, fuel)
+            root, st = frontend.compile_pure(f, st)
             roots.append(root)
         seconds = time.perf_counter() - start
         return _Compiled(
@@ -158,8 +133,8 @@ def cmd_check(args) -> int:
     backends = BACKENDS if args.backend == "both" else [args.backend]
     verdicts = set()
     for backend in backends:
-        report, positive = _check_one(kind, formulas, backend, args.fuel)
-        print(report.to_line())
+        line, positive = _check_one(kind, formulas, backend)
+        print(line)
         verdicts.add(positive)
     if len(verdicts) > 1:
         print("error: backends disagree on the verdict", file=sys.stderr)
@@ -167,9 +142,10 @@ def cmd_check(args) -> int:
     return 0 if verdicts.pop() else 1
 
 
-def _check_one(kind, formulas, backend, fuel) -> tuple[RunReport, bool]:
+def _check_one(kind, formulas, backend) -> tuple[str, bool]:
+    """The report line of one backend, and whether its verdict is positive."""
     start = time.perf_counter()
-    c = _compile(backend, formulas, fuel=fuel)
+    c = _compile(backend, formulas)
     value = c.expand(c.roots[0])[0]
     if kind == "taut":
         positive = value is True
@@ -180,20 +156,14 @@ def _check_one(kind, formulas, backend, fuel) -> tuple[RunReport, bool]:
     result_nodes = graph.size(c.roots[0], c.expand)
     wall = time.perf_counter() - start
     memo_hits, memo_misses = _memo_totals(c.stats)
-    report = RunReport(
-        command=f"check:{kind}",
-        backend=backend,
-        kernel=c.kernel,
-        verdict=_VERDICTS[kind][not positive],
-        result_nodes=result_nodes,
-        state_nodes=c.nodes,
-        intern_hits=c.stats["intern_hits"],
-        intern_misses=c.stats["intern_misses"],
-        memo_hits=memo_hits,
-        memo_misses=memo_misses,
-        wall_s=wall,
+    line = (
+        f"command=check:{kind} backend={backend} kernel={c.kernel} "
+        f"verdict={_VERDICTS[kind][not positive]} result_nodes={result_nodes} "
+        f"state_nodes={c.nodes} intern_hits={c.stats['intern_hits']} "
+        f"intern_misses={c.stats['intern_misses']} "
+        f"memo_hits={memo_hits} memo_misses={memo_misses} wall_s={wall:.6f}"
     )
-    return report, positive
+    return line, positive
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +171,10 @@ def _check_one(kind, formulas, backend, fuel) -> tuple[RunReport, bool]:
 
 
 def cmd_dot(args) -> int:
-    c = _compile(args.backend, [frontend.parse_file(args.file)], fuel=args.fuel)
-    root = c.roots[0]
-    if args.backend == "pure":
-        # DOT names nodes by uid, so the store is copied into a manager
-        root = graph.copy(root, c.expand, interned.new_manager())
-    text = interned.to_dot(root)
-    out = args.dot_out or args.out
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    c = _compile("interned", [frontend.parse_file(args.file)])
+    text = interned.to_dot(c.roots[0])
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -233,18 +198,20 @@ def _parse_size(text: str) -> int:
     return size
 
 
-def _parse_sizes(text: str) -> list[int]:
-    sizes = []
+def _parse_sizes(text: str) -> list[range]:
+    """The size list as ranges, unexpanded, so that a huge one costs nothing."""
+    ranges = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..", 1)
-            sizes.extend(range(_parse_size(lo), _parse_size(hi) + 1))
+            ranges.append(range(_parse_size(lo), _parse_size(hi) + 1))
         elif part:
-            sizes.append(_parse_size(part))
-    if not sizes:
+            size = _parse_size(part)
+            ranges.append(range(size, size + 1))
+    if not any(ranges):
         raise ValueError("empty size list")
-    return sizes
+    return ranges
 
 
 def _bench_formula(family: str, size: int) -> tuple[Formula, int]:
@@ -271,11 +238,11 @@ def cmd_bench(args) -> int:
     if cap is None:
         cap = QUEENS_SIZE_CAP if args.family == "queens" else PIGEONHOLE_SIZE_CAP
     try:
-        sizes = _parse_sizes(args.sizes)
+        ranges = _parse_sizes(args.sizes)
     except ValueError as exc:
         print(f"error: bad size list: {exc}", file=sys.stderr)
         return 2
-    if any(s < 1 or s > cap for s in sizes):
+    if any(r and (r[0] < 1 or r[-1] > cap) for r in ranges):
         print(
             f"error: sizes for {args.family} must be within 1..{cap}",
             file=sys.stderr,
@@ -294,7 +261,7 @@ def cmd_bench(args) -> int:
     kernels_of = {"pure": ["python"], "interned": kernels}
 
     print(BENCH_HEADER)
-    for size in sizes:
+    for size in itertools.chain.from_iterable(ranges):
         formula, n_vars = _bench_formula(args.family, size)
         walls = []
         for backend in backends:
@@ -441,15 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--backend", choices=["pure", "interned", "both"], default="both"
     )
-    p_check.add_argument("--fuel", type=int, default=None, help="pure backend only")
     p_check.set_defaults(func=cmd_check)
 
     p_dot = sub.add_parser("dot", help="export a formula's BDD as Graphviz text")
     p_dot.add_argument("file", help="formula file")
-    p_dot.add_argument("--backend", choices=["pure", "interned"], default="interned")
-    p_dot.add_argument("--fuel", type=int, default=None)
     p_dot.add_argument("--out", default=None, help="output path (default: stdout)")
-    p_dot.add_argument("--dot-out", dest="dot_out", default=None, help="alias of --out")
     p_dot.set_defaults(func=cmd_dot)
 
     p_bench = sub.add_parser("bench", help="compare backends on formula families")
@@ -467,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="interned-backend kernel(s) to run",
     )
     p_bench.add_argument(
-        "--size-cap", type=int, default=None, help="override the family size cap"
+        "--size-cap", type=positive_int, default=None,
+        help="override the family size cap",
     )
     p_bench.set_defaults(func=cmd_bench)
 

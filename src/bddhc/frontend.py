@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
 
 from . import pure
 from .core import (
@@ -233,9 +232,7 @@ def format_formula(f: Formula) -> str:
 # call, so wrappers installed on either see each call.
 
 
-def compile_pure(
-    f: Formula, st: pure.Store, fuel: Optional[int] = None
-) -> tuple[NodeRef, pure.Store]:
+def compile_pure(f: Formula, st: pure.Store) -> tuple[NodeRef, pure.Store]:
     """Compile into the persistent store, threading it through."""
     refs: list[NodeRef] = []
     for g in postorder(f):
@@ -243,12 +240,12 @@ def compile_pure(
         if t is Ref:
             ref, st = pure.mk_node(st, LEAF_FALSE, g.var, LEAF_TRUE)
         elif t is Not:
-            ref, st = pure.neg(st, refs.pop(), fuel)
+            ref, st = pure.neg(st, refs.pop())
         elif t is Const:
             ref = LEAF_TRUE if g.value else LEAF_FALSE
         else:
             b = refs.pop()
-            ref, st = pure.apply_binop(st, _OP_NAME[t], refs.pop(), b, fuel)
+            ref, st = pure.apply_binop(st, _OP_NAME[t], refs.pop(), b)
         refs.append(ref)
     return refs[0], st
 
@@ -380,13 +377,13 @@ def random_formula(rng: random.Random, max_var: int = 6, max_depth: int = 8) -> 
     )
 
 
-def random_equivalent(rng: random.Random, f: Formula, rounds: int = 3) -> Formula:
+def random_equivalent(rng: random.Random, f: Formula) -> Formula:
     """A syntactically different formula with the same truth table.
 
-    Applies a few randomly placed meaning-preserving rewrites (double
+    Applies three randomly placed meaning-preserving rewrites (double
     negation, De Morgan, commuting, xor expansion, identity padding).
     """
-    for _ in range(max(1, rounds)):
+    for _ in range(3):
         f = _rewrite_somewhere(rng, f)
     return f
 

@@ -186,7 +186,7 @@ def _check_cache_semantics(m, by_uid, report) -> None:
 # DOT export
 
 
-def to_dot(root, graph_name: str = "bdd") -> str:
+def to_dot(root) -> str:
     """Graphviz text for the BDD under ``root``.
 
     One record per reachable node, named ``n<uid>``; leaves are boxes
@@ -194,7 +194,7 @@ def to_dot(root, graph_name: str = "bdd") -> str:
     The 0-branch is a dashed edge, the 1-branch solid.  Shared nodes
     appear exactly once, children before parents.
     """
-    lines = [f"digraph {graph_name} {{"]
+    lines = ["digraph bdd {"]
     for h in reachable(root):
         if h.terminal >= 0:
             label = "T" if h.terminal == 1 else "F"

@@ -310,7 +310,11 @@ def node_count(st: Store) -> int:
 
 
 def default_fuel(st: Store) -> int:
-    """Recursion budget always sufficient for well-formed stores."""
+    """The recursion budget of ``neg`` and ``apply_binop``.
+
+    One unit per variable level is always enough for a well-formed store,
+    so only a corrupt one (a cycle of ids, say) runs out.
+    """
     return st.max_var + 1
 
 
@@ -400,11 +404,9 @@ def eq(a: NodeRef, b: NodeRef) -> bool:
     return a == b
 
 
-def neg(st: Store, ref: NodeRef, fuel: Optional[int] = None) -> tuple[NodeRef, Store]:
+def neg(st: Store, ref: NodeRef) -> tuple[NodeRef, Store]:
     """Complement: the result denotes the pointwise negation of ``ref``."""
-    if fuel is None:
-        fuel = default_fuel(st)
-    return _neg_rec(st, ref, fuel)
+    return _neg_rec(st, ref, default_fuel(st))
 
 
 def _neg_rec(st: Store, ref: NodeRef, fuel: int) -> tuple[NodeRef, Store]:
@@ -431,9 +433,7 @@ def _neg_rec(st: Store, ref: NodeRef, fuel: int) -> tuple[NodeRef, Store]:
     return result, st
 
 
-def apply_binop(
-    st: Store, op: str, a: NodeRef, b: NodeRef, fuel: Optional[int] = None
-) -> tuple[NodeRef, Store]:
+def apply_binop(st: Store, op: str, a: NodeRef, b: NodeRef) -> tuple[NodeRef, Store]:
     """Pointwise binary operation (``op`` in ``and``/``or``/``xor``).
 
     Shannon expansion on the smaller top variable, memoized per
@@ -442,9 +442,7 @@ def apply_binop(
     """
     if op not in _BINOPS:
         raise ValueError(f"unknown operation {op!r}")
-    if fuel is None:
-        fuel = default_fuel(st)
-    return _apply_rec(st, op, a, b, fuel)
+    return _apply_rec(st, op, a, b, default_fuel(st))
 
 
 def _apply_rec(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -275,29 +276,6 @@ def test_dot_to_file(formula_file, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_dot_out_alias(formula_file, tmp_path):
-    path = formula_file("x1")
-    out_path = tmp_path / "h.dot"
-    assert main(["dot", path, "--dot-out", str(out_path)]) == 0
-    assert "digraph" in out_path.read_text(encoding="utf-8")
-
-
-def test_dot_backend_pure_matches_interned(formula_file, capsys):
-    path = formula_file("(x1 & x2) | !x3")
-    assert main(["dot", path, "--backend", "pure"]) == 0
-    from_pure = capsys.readouterr().out
-    assert main(["dot", path, "--backend", "interned"]) == 0
-    from_interned = capsys.readouterr().out
-
-    def profile(text):
-        # uid numbering depends on construction order; compare the shape
-        labels = sorted(part.split('"')[1] for part in text.splitlines()
-                        if 'label="' in part)
-        return labels, text.count("dashed"), text.count("solid")
-
-    assert profile(from_pure) == profile(from_interned)
-
-
 def test_dot_constant(formula_file, capsys):
     path = formula_file("1")
     assert main(["dot", path]) == 0
@@ -316,6 +294,26 @@ def test_dot_unwritable_out_is_one_error_line(formula_file, tmp_path, capsys):
     assert captured.out == ""
     message = f"[Errno 2] No such file or directory: {str(out_path)!r}"
     assert captured.err == f"error: {message}\n"
+
+
+# -- README --------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands_parse():
+    # every ``bddhc ...`` line of README's shell blocks, comment stripped,
+    # so that a removed flag cannot stay documented
+    commands, in_shell_block = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_shell_block = line == "```sh"
+        elif in_shell_block and line.startswith("bddhc "):
+            commands.append(line.split("#", 1)[0].split()[1:])
+    assert {argv[0] for argv in commands} == {"check", "dot", "bench", "selftest"}
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 # -- bench --------------------------------------------------------------------
@@ -357,6 +355,22 @@ def test_bench_size_cap(capsys):
 def test_bench_size_cap_override(capsys):
     assert main(["bench", "pigeonhole", "--sizes", "2", "--size-cap", "2",
                  "--backend", "interned"]) == 0
+
+
+def test_bench_huge_range_is_checked_before_it_is_expanded(capsys):
+    # expanded first, this range would need about 40 TB
+    assert main(["bench", "queens", "--sizes", f"1..{10**12}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sizes for queens must be within 1..8\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_bench_size_cap_must_be_positive(cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "queens", "--size-cap", cap])
+    assert exc.value.code == 2
+    assert "--size-cap" in capsys.readouterr().err
 
 
 def test_bench_bad_sizes(capsys):

@@ -2,12 +2,13 @@
 
 Each expected value is the first 16 hex digits of the SHA-256 of the
 output, recorded before the graph walks were shared between the two
-backends.  ``bddhc dot --backend pure`` mirrors the store into a manager,
-so its digest also pins the uid numbering of that copy.  Bench rows and
-``check`` report lines are compared without ``wall_s``, and bench rows
-without the ``#`` ratio lines.  The ``check`` and ``selftest`` pins, and
-the error lines of ``check`` and ``dot``, were recorded before the CLI
-compiled both backends through one function.
+backends.  ``bddhc dot`` compiles on the interned backend, so its digests
+pin that backend's uid numbering.  Bench rows and ``check`` report lines
+are compared without ``wall_s``, and bench rows without the ``#`` ratio
+lines.  The ``check`` and ``selftest`` pins, and the error lines of
+``check`` and ``dot``, were recorded before the CLI compiled both backends
+through one function; the ``check`` pins also before its report line
+stopped being a dataclass.
 """
 import hashlib
 import random
@@ -26,12 +27,7 @@ FORMULAS = {
     ),
 }
 
-DOT = {
-    ("queens4", "pure"): "ac6cfff10e402629",
-    ("queens4", "interned"): "a88cd4af7e9883b3",
-    ("random3", "pure"): "ed0a2e36f0fb1693",
-    ("random3", "interned"): "7b243d1dad645b60",
-}
+DOT = {"queens4": "a88cd4af7e9883b3", "random3": "7b243d1dad645b60"}
 
 STORE_TEXT = {"queens4": "f40c3ee7341aaf84", "random3": "258a36df773a365b"}
 
@@ -84,13 +80,13 @@ def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("backend", ["pure", "interned"])
-@pytest.mark.parametrize("name", sorted(FORMULAS))
-def test_dot_text(name, backend, tmp_path, capsys):
+# the ids keep the backend these digests were recorded on
+@pytest.mark.parametrize("name", [pytest.param(n, id=f"{n}-interned") for n in DOT])
+def test_dot_text(name, tmp_path, capsys):
     path = tmp_path / f"{name}.txt"
     path.write_text(frontend.format_formula(FORMULAS[name]()) + "\n", encoding="utf-8")
-    assert main(["dot", str(path), "--backend", backend]) == 0
-    assert _digest(capsys.readouterr().out) == DOT[name, backend]
+    assert main(["dot", str(path)]) == 0
+    assert _digest(capsys.readouterr().out) == DOT[name]
 
 
 @pytest.mark.parametrize("name", sorted(FORMULAS))
@@ -188,24 +184,22 @@ def test_selftest_output(case, capsys):
     assert _digest(capsys.readouterr().out) == digest
 
 
-# one formula file, the extra arguments and the error line; ``{path}``
-# stands for the file's path
+# one formula file and the error line; ``{path}`` stands for its path
 ERRORS = {
-    "parse": ("x1 &", [], "2:1: expected a formula, found end of input"),
-    "missing": (None, [], "[Errno 2] No such file or directory: {path!r}"),
-    "fuel": ("x1 | x2", ["--backend", "pure", "--fuel", "0"], "or ran out of fuel"),
+    "parse": ("x1 &", "2:1: expected a formula, found end of input"),
+    "missing": (None, "[Errno 2] No such file or directory: {path!r}"),
 }
 
 
 @pytest.mark.parametrize("command", ["check", "dot"])
 @pytest.mark.parametrize("case", sorted(ERRORS))
 def test_error_lines(command, case, tmp_path, capsys):
-    text, extra, message = ERRORS[case]
+    text, message = ERRORS[case]
     path = tmp_path / "f.txt"
     if text is not None:
         path.write_text(text + "\n", encoding="utf-8")
     args = ["check", "taut"] if command == "check" else ["dot"]
-    assert main([*args, str(path), *extra]) == 2
+    assert main([*args, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: " + message.format(path=str(path)) + "\n"

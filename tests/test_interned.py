@@ -570,31 +570,70 @@ def test_kernel_frees_what_it_allocates(kernel):
     assert sys.getallocatedblocks() - before < 20
 
 
-_DEEP_CHAIN = """
+_KERNEL_SCRIPT = """
 import importlib, sys
 sys.path.insert(0, sys.argv[2])
 import bddhc
 bddhc.__path__.insert(0, sys.argv[3])
 m = importlib.import_module(sys.argv[1]).Manager()
-h = m.true
-for v in range(10**6, 0, -1):
-    h = m.node(v, m.false, h)
-del h
-m.reset()
 """
 
 
-def test_freeing_a_deep_diagram_keeps_the_c_stack_flat(manager):
-    # each handle holds its child, so freeing the root frees a 10**6 chain
+def _run_on_kernel(manager, script):
+    """Run ``script`` in a fresh process where ``m`` is a new manager of the
+    kernel ``manager`` comes from, so that a crash fails only this test."""
     # the module of the manager class that defines the hot path
     hot = next(cls for cls in type(manager).__mro__ if "node" in vars(cls))
     kernel = sys.modules[hot.__module__]
     src = Path(bddhc.__file__).parent.parent
     args = [kernel.__name__, str(src), str(Path(kernel.__file__).parent)]
     run = subprocess.run(
-        [sys.executable, "-c", _DEEP_CHAIN, *args],
+        [sys.executable, "-c", _KERNEL_SCRIPT + script, *args],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_freeing_a_deep_diagram_keeps_the_c_stack_flat(manager):
+    # each handle holds its child, so freeing the root frees a 10**6 chain
+    _run_on_kernel(manager, """
+h = m.true
+for v in range(10**6, 0, -1):
+    h = m.node(v, m.false, h)
+del h
+m.reset()
+""")
+
+
+def test_deep_recursion_raises_recursion_error(manager):
+    # neg and apply_binop recurse once per level; on a 10**5-level chain
+    # the compiled kernel would overflow the C stack without its limit
+    _run_on_kernel(manager, """
+a, b = m.true, m.false
+for v in range(10**5, 0, -1):
+    a, b = m.node(v, m.false, a), m.node(v, m.true, b)
+for call in (lambda: m.neg(a), lambda: m.apply_binop("or", a, b)):
+    try:
+        call()
+    except RecursionError:
+        pass
+    else:
+        sys.exit("no RecursionError")
+x = m.node(1, m.false, m.true)
+assert m.neg(x) is m.node(1, m.true, m.false)
+""")
+
+
+@needs_compiled
+def test_compiled_kernel_recurses_below_its_depth_limit():
+    # far past the Python kernel's limit, within the compiled kernel's
+    m = interned.new_manager("compiled")
+    a = m.true
+    for v in range(20000, 0, -1):
+        a = m.node(v, m.false, a)
+    not_a = m.neg(a)
+    assert m.neg(not_a) is a
+    assert m.apply_binop("and", a, not_a) is m.false
+    assert m.apply_binop("or", a, not_a) is m.true

@@ -165,13 +165,14 @@ def test_double_negation_returns_same_ref():
 
 
 def test_neg_out_of_fuel():
-    st = pure.empty_store()
-    ref, st = pure.mk_node(st, LEAF_FALSE, 1, LEAF_TRUE)
-    with pytest.raises(OutOfFuel):
-        pure.neg(st, ref, fuel=0)
-    # one level of node plus the leaf call
-    ref2, _ = pure.neg(st, ref, fuel=2)
-    assert ref2 != ref
+    # a corrupt store whose nodes are each other's low child: the default
+    # budget, one unit per variable level, is what ends each recursion
+    st = pure.store_from_parts({1: Node(2, 1, LEAF_TRUE), 2: Node(1, 1, LEAF_FALSE)})
+    with pytest.raises(OutOfFuel, match="^negation ran out of fuel$"):
+        pure.neg(st, 1)
+    for op in ("and", "or", "xor"):
+        with pytest.raises(OutOfFuel, match=f"^{op} ran out of fuel$"):
+            pure.apply_binop(st, op, 1, 2)
 
 
 # -- binary operations ------------------------------------------------
@@ -278,10 +279,10 @@ def test_fuel_default_is_sufficient():
     for _ in range(25):
         f = frontend.random_formula(rng, max_var=6, max_depth=7)
         st = pure.empty_store()
-        ref, st = frontend.compile_pure(f, st)  # default fuel everywhere
+        ref, st = frontend.compile_pure(f, st)
         g = frontend.random_formula(rng, max_var=6, max_depth=7)
         rg, st = frontend.compile_pure(g, st)
-        pure.apply_binop(st, "xor", ref, rg, fuel=st.max_var + 1)
+        pure.apply_binop(st, "xor", ref, rg)
 
 
 # -- eq and size ------------------------------------------------------
