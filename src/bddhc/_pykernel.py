@@ -43,6 +43,9 @@ import itertools
 from typing import Iterator
 
 from .core import (
+    BINOPS,
+    OPS,
+    STAT_KEYS,
     ForeignHandle,
     InvalidChild,
     OrderViolation,
@@ -89,19 +92,12 @@ class _Op:
         self.hits = self.misses = 0
 
 
-_BINOPS = ("and", "or", "xor")
-_OPS = ("not",) + _BINOPS
-_STAT_KEYS = ("intern_hits", "intern_misses") + tuple(
-    f"{kind}_{field}" for kind in _OPS for field in ("hits", "misses")
-)
-
-
 class ManagerBase:
     """The manager methods off the hot path, written once for both kernels.
 
     A kernel provides the leaves ``true``/``false``, the unique table
     ``_unique``, ``_memos`` (a fixed dict from operation name to memo
-    table), one readable counter per name in ``_STAT_KEYS``, ``IMPL``
+    table), one readable counter per name in ``core.STAT_KEYS``, ``IMPL``
     and the hot methods ``node``, ``neg``, ``apply_binop`` and ``reset``.
     """
 
@@ -126,7 +122,7 @@ class ManagerBase:
         yield from list(self._unique.values())
 
     def stats(self) -> dict[str, int]:
-        return {k: getattr(self, k) for k in _STAT_KEYS}
+        return {k: getattr(self, k) for k in STAT_KEYS}
 
     def memo_entries(self) -> dict[str, dict]:
         """Live cache tables, keyed by operation.  Read-only use."""
@@ -155,17 +151,13 @@ class Manager(ManagerBase):
     or memoizing operations must be externally serialized.  Distinct
     managers are fully independent; mixing their handles raises
     ``ForeignHandle``.
-
-    ``reduce_nodes=False`` disables the equal-children collapse so
-    self-tests can confirm the surrounding checks catch unreduced nodes.
     """
 
     IMPL = "python"
 
-    def __init__(self, reduce_nodes: bool = True):
-        self.reduce_nodes = reduce_nodes
+    def __init__(self):
         self._unique: dict[tuple[int, int, int], Handle] = {}
-        self._ops = {kind: _Op(kind) for kind in _OPS}
+        self._ops = {kind: _Op(kind) for kind in OPS}
         self._not = self._ops["not"]
         self._memos = {kind: op.memo for kind, op in self._ops.items()}
         self.reset()
@@ -186,7 +178,7 @@ class Manager(ManagerBase):
         if high.terminal < 0 and high.var <= var:
             raise OrderViolation(f"child variable x{high.var} is not below x{var}")
         lu, hu = low.uid, high.uid
-        if lu == hu and self.reduce_nodes:
+        if lu == hu:
             return low
         key = (var, lu, hu)
         found = self._unique.get(key)
@@ -225,7 +217,7 @@ class Manager(ManagerBase):
         """Pointwise and/or/xor via Shannon expansion, memoized on uid pairs."""
         self._check_owned(a)
         self._check_owned(b)
-        if op not in _BINOPS:
+        if op not in BINOPS:
             raise ValueError(f"unknown operation {op!r}")
         return self._apply_rec(self._ops[op], a, b)
 
@@ -290,7 +282,7 @@ def _counter(kind: str, field: str) -> property:
 
 
 # the per-operation counters stay readable as ``not_hits``, ``and_misses``, ...
-for _kind in _OPS:
+for _kind in OPS:
     setattr(Manager, f"{_kind}_hits", _counter(_kind, "hits"))
     setattr(Manager, f"{_kind}_misses", _counter(_kind, "misses"))
 del _kind

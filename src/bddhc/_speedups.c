@@ -2,9 +2,9 @@
  *
  * A hand-written CPython extension holding only what must run fast: the
  * Handle type and a base Manager type with node, neg, apply_binop, reset,
- * the leaves, the counters and reduce_nodes.  Every other manager method is
- * written once, in Python, in bddhc._pykernel.ManagerBase, which reads the
- * read-only _unique and _memos members defined here; bddhc.interned
+ * the leaves and the counters.  Every other manager method is written once,
+ * in Python, in bddhc._pykernel.ManagerBase, which reads the read-only
+ * _unique and _memos members defined here; bddhc.interned
  * combines the two into the compiled kernel's manager class.  Given the
  * same call sequence, this kernel and the Python one assign identical uids,
  * raise the same exceptions with the same messages, and report identical
@@ -159,7 +159,6 @@ typedef struct {
     long long intern_hits, intern_misses;
     Op ops[N_OPS];
     int depth;                       /* of neg_rec and apply_rec */
-    char reduce_nodes;
 } ManagerObject;
 
 static PyTypeObject ManagerType;
@@ -225,7 +224,7 @@ check_owned(ManagerObject *m, PyObject *h)
 static HandleObject *
 mk_node(ManagerObject *m, int var, HandleObject *low, HandleObject *high)
 {
-    if (low == high && m->reduce_nodes)
+    if (low == high)
         return (HandleObject *)Py_NewRef(low);
     PyObject *var_obj = PyLong_FromLong(var);
     if (var_obj == NULL)
@@ -397,15 +396,12 @@ manager_clear(ManagerObject *m)
 static PyObject *
 manager_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"reduce_nodes", NULL};
-    int reduce_nodes = 1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|p:Manager", kwlist,
-                                     &reduce_nodes))
+    static char *kwlist[] = {NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, ":Manager", kwlist))
         return NULL;
     ManagerObject *m = (ManagerObject *)type->tp_alloc(type, 0);
     if (m == NULL)
         return NULL;
-    m->reduce_nodes = (char)reduce_nodes;
     if ((m->unique = PyDict_New()) == NULL)
         goto error;
     if ((m->memos = PyDict_New()) == NULL)
@@ -567,7 +563,6 @@ static PyMethodDef manager_methods[] = {
     {name, T_LONGLONG, offsetof(ManagerObject, field), READONLY, NULL}
 
 static PyMemberDef manager_members[] = {
-    {"reduce_nodes", T_BOOL, offsetof(ManagerObject, reduce_nodes), READONLY, NULL},
     {"true", T_OBJECT, offsetof(ManagerObject, true_), READONLY, NULL},
     {"false", T_OBJECT, offsetof(ManagerObject, false_), READONLY, NULL},
     {"_unique", T_OBJECT, offsetof(ManagerObject, unique), READONLY, NULL},

@@ -86,14 +86,14 @@ class _Compiled(NamedTuple):
     truth_table: Callable[[object, int], oracle.TruthTable]  # (root, n)
 
 
-def _compile(backend, formulas, kernel="auto", reduce_nodes=True) -> _Compiled:
+def _compile(backend, formulas, kernel="auto") -> _Compiled:
     """The only code of the tool that branches on the backend.
 
     ``kernel`` picks the interned kernel; the pure backend ignores it.
     """
     start = time.perf_counter()
     if backend == "pure":
-        st = pure.empty_store(reduce_nodes=reduce_nodes)
+        st = pure.empty_store()
         roots = []
         for f in formulas:
             root, st = frontend.compile_pure(f, st)
@@ -104,7 +104,7 @@ def _compile(backend, formulas, kernel="auto", reduce_nodes=True) -> _Compiled:
             "python", seconds, partial(pure.validate_store, st),
             partial(oracle.bdd_truth_table, store=st),
         )
-    m = interned.new_manager(kernel, reduce_nodes=reduce_nodes)
+    m = interned.new_manager(kernel)
     roots = [frontend.compile_interned(f, m) for f in formulas]
     seconds = time.perf_counter() - start
     return _Compiled(
@@ -320,7 +320,6 @@ def run_selftest(
     seed: int = 0,
     cases: int = 300,
     max_vars: int = 6,
-    sabotage: Optional[str] = None,
     echo: Callable[[str], None] = print,
 ) -> tuple[bool, Optional[str]]:
     """Randomized cross-backend oracle suite plus validator sweeps.
@@ -330,13 +329,12 @@ def run_selftest(
     canonicity.  Deterministic for a fixed seed.
     """
     rng = random.Random(seed)
-    reduce_nodes = sabotage != "no-reduce"
 
     def case_fails(f: Formula) -> bool:
         n = max(1, formula_max_var(f))
         want = oracle.formula_truth_table(f, n)
         for backend in BACKENDS:
-            c = _compile(backend, [f], reduce_nodes=reduce_nodes)
+            c = _compile(backend, [f])
             got = c.truth_table(c.roots[0], n)
             if not oracle.tables_equal(got, want) or not c.validate().ok:
                 return True
@@ -348,7 +346,7 @@ def run_selftest(
         tables = [oracle.formula_truth_table(h, n) for h in (f, g)]
         semantically_equal = oracle.tables_equal(*tables)
         for backend in BACKENDS:
-            c = _compile(backend, [f, g], reduce_nodes=reduce_nodes)
+            c = _compile(backend, [f, g])
             if (c.roots[0] == c.roots[1]) != semantically_equal:
                 return True
         return False
@@ -379,7 +377,7 @@ def run_selftest(
 
 
 def cmd_selftest(args) -> int:
-    ok, _ = run_selftest(args.seed, args.cases, args.max_vars, args.sabotage)
+    ok, _ = run_selftest(args.seed, args.cases, args.max_vars)
     return 0 if ok else 1
 
 
@@ -387,8 +385,16 @@ def cmd_selftest(args) -> int:
 # entry point
 
 
+def decimal_int(text: str) -> int:
+    """An option's value as ``core.parse_decimal`` reads it."""
+    value = parse_decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
+    return value
+
+
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = decimal_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -436,10 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_self = sub.add_parser("selftest", help="randomized cross-backend test suite")
-    p_self.add_argument("--seed", type=int, default=0)
+    p_self.add_argument("--seed", type=decimal_int, default=0)
     p_self.add_argument("--cases", type=positive_int, default=300)
     p_self.add_argument("--max-vars", dest="max_vars", type=positive_int, default=6)
-    p_self.add_argument("--sabotage", choices=["no-reduce"], help=argparse.SUPPRESS)
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

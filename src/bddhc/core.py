@@ -123,6 +123,15 @@ def node_should_collapse(low: NodeRef, high: NodeRef) -> bool:
     return low == high
 
 
+# The memoized operations as both backends name them, negation first, and
+# their interning and per-operation counters in the order stats report them.
+OPS = ("not", "and", "or", "xor")
+BINOPS = OPS[1:]
+STAT_KEYS = tuple(
+    f"{name}_{kind}" for name in ("intern", *OPS) for kind in ("hits", "misses")
+)
+
+
 # ---------------------------------------------------------------------------
 # Formula AST
 

@@ -14,20 +14,17 @@ target manager's own constructor.
 """
 from __future__ import annotations
 
+import operator
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
-from .core import BddError
+from .core import OPS, BddError
 
 _CYCLE = "BDD graph contains a cycle"
 
-# the function each memoized operation must compute, by op name
-_OPS = {
-    "not": lambda x: not x,
-    "and": lambda x, y: x and y,
-    "or": lambda x, y: x or y,
-    "xor": lambda x, y: x != y,
-}
+# the function each memoized operation must compute, by op name; the
+# operands are the bools ``follow`` returns
+_FUNCTIONS = dict(zip(OPS, (operator.not_, operator.and_, operator.or_, operator.xor)))
 
 
 def walk(root, expand: Callable) -> Iterator[tuple]:
@@ -144,7 +141,7 @@ def memo_faults(entries: Iterable[tuple], expand: Callable) -> Iterator[tuple]:
     as ``(op, operands, value, assignment)``.
     """
     for op, operands, value in entries:
-        fn = _OPS[op]
+        fn = _FUNCTIONS[op]
         vars_ = sorted(set().union(*(cone_vars(r, expand) for r in (*operands, value))))
         for bits in product((False, True), repeat=len(vars_)):
             assignment = dict(zip(vars_, bits))

@@ -15,7 +15,7 @@ pure store and the cache-semantics check are folds over that one walk.
 """
 from __future__ import annotations
 
-from .core import ForeignHandle, ValidationReport
+from .core import BINOPS, ForeignHandle, ValidationReport
 from . import _pykernel, graph, pure
 
 # name -> manager class of each built kernel
@@ -42,13 +42,13 @@ def available_kernels() -> list[str]:
     return list(_KERNELS)
 
 
-def new_manager(kernel: str = "auto", reduce_nodes: bool = True):
+def new_manager(kernel: str = "auto"):
     """Fresh manager from the chosen kernel (``auto``/``python``/``compiled``)."""
     cls = _KERNELS.get(kernel_name() if kernel == "auto" else kernel)
     if cls is None:
         have = ", ".join(available_kernels())
         raise ValueError(f"kernel {kernel!r} not available (have: {have})")
-    return cls(reduce_nodes=reduce_nodes)
+    return cls()
 
 
 def structural_eq(a, b) -> bool:
@@ -169,7 +169,7 @@ def validate_manager(m, check_cache_semantics: bool = False) -> ValidationReport
 def _check_cache_semantics(m, by_uid, report) -> None:
     caches = m.memo_entries()
     entries = [("not", (by_uid[u],), value) for u, value in caches["not"].items()]
-    for op in ("and", "or", "xor"):
+    for op in BINOPS:
         entries += [
             (op, (by_uid[ua], by_uid[ub]), value)
             for (ua, ub), value in caches[op].items()

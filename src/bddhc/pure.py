@@ -72,6 +72,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from . import graph
 from .core import (
+    BINOPS,
     LEAF_FALSE,
     LEAF_TRUE,
     Assignment,
@@ -83,6 +84,7 @@ from .core import (
     NodeRef,
     OrderViolation,
     OutOfFuel,
+    STAT_KEYS,
     ValidationReport,
     check_var,
     node_should_collapse,
@@ -91,25 +93,12 @@ from .core import (
 
 # operation -> (``_Shared`` attribute, key arity) of each memo table, in the
 # order validation reports them; binary keys are id pairs, ``not`` keys one id
-_MEMO_TABLES = {
-    "and": ("mand", 2),
-    "or": ("mor", 2),
-    "xor": ("mxor", 2),
-    "not": ("mneg", 1),
-}
+_MEMO_TABLES = {**{op: ("m" + op, 2) for op in BINOPS}, "not": ("mneg", 1)}
 
 # memo table attribute of ``_Shared`` and the hit/miss counter keys, per op
 _BINOP_KEYS = {
-    op: (attr, op + "_hits", op + "_misses")
-    for op, (attr, arity) in _MEMO_TABLES.items()
-    if arity == 2
+    op: (_MEMO_TABLES[op][0], op + "_hits", op + "_misses") for op in BINOPS
 }
-_BINOPS = tuple(_BINOP_KEYS)
-
-# interning first, then the operations in the Python kernel's order
-_STAT_KEYS = tuple(
-    f"{op}_{kind}" for op in ("intern", "not", *_BINOPS) for kind in ("hits", "misses")
-)
 
 
 class _Shared:
@@ -136,7 +125,7 @@ class _Shared:
             setattr(self, attr, {})
         self.tip = 0
         self.lock = threading.Lock()
-        self.stats = dict.fromkeys(_STAT_KEYS, 0)
+        self.stats = dict.fromkeys(STAT_KEYS, 0)
 
 
 def _visible(ref: NodeRef, count: int, nxt: int) -> bool:
@@ -166,7 +155,6 @@ class Store(NamedTuple):
     count: int
     next: int
     max_var: int
-    reduce_nodes: bool
 
     @property
     def graph(self) -> dict[int, Node]:
@@ -223,14 +211,9 @@ def _visible_entries(st: Store, table: dict, arity: int) -> dict:
 # Construction
 
 
-def empty_store(reduce_nodes: bool = True) -> Store:
-    """A fresh store: no nodes, empty maps, next id 1.
-
-    ``reduce_nodes=False`` disables the equal-children collapse in
-    ``mk_node``; it exists so self-tests can verify that the validators
-    and canonicity checks actually catch unreduced nodes.
-    """
-    return Store(_Shared(), 0, 1, 0, reduce_nodes)
+def empty_store() -> Store:
+    """A fresh store: no nodes, empty maps, next id 1."""
+    return Store(_Shared(), 0, 1, 0)
 
 
 def store_from_parts(
@@ -241,7 +224,6 @@ def store_from_parts(
     memo_or: Optional[Mapping[tuple[int, int], NodeRef]] = None,
     memo_xor: Optional[Mapping[tuple[int, int], NodeRef]] = None,
     memo_neg: Optional[Mapping[int, NodeRef]] = None,
-    reduce_nodes: bool = True,
 ) -> Store:
     """Build a store directly from raw tables, without any checking.
 
@@ -268,7 +250,7 @@ def store_from_parts(
         setattr(sh, attr, dict(table or {}))
     sh.tip = max_id
     max_var = max((n.var for n in graph.values()), default=0)
-    return Store(sh, max_id, next_id, max_var, reduce_nodes)
+    return Store(sh, max_id, next_id, max_var)
 
 
 def clear_memo(st: Store) -> Store:
@@ -278,7 +260,7 @@ def clear_memo(st: Store) -> Store:
     can observe the other's future memoization.
     """
     sh = _clone_shared(st, copy_memo=False)
-    return Store(sh, st.count, st.next, st.max_var, st.reduce_nodes)
+    return Store(sh, st.count, st.next, st.max_var)
 
 
 def _clone_shared(st: Store, copy_memo: bool = True) -> _Shared:
@@ -338,9 +320,7 @@ def _alloc(st: Store, node: Node) -> tuple[int, Store]:
         sh.cells.append(node)
         sh.hmap[node] = node_id
         sh.tip = len(sh.cells)
-    return node_id, Store(
-        sh, node_id, node_id + 1, max(st.max_var, node.var), st.reduce_nodes
-    )
+    return node_id, Store(sh, node_id, node_id + 1, max(st.max_var, node.var))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +335,7 @@ def mk_node(st: Store, low: NodeRef, var: int, high: NodeRef) -> tuple[NodeRef, 
     fresh node under id ``st.next``.  The returned store extends ``st``
     monotonically; on the first two paths it *is* ``st``.
     """
-    shared, count, nxt, _, reduce_nodes = st
+    shared, count, nxt, _ = st
     if type(var) is not int or var < 1:
         check_var(var)
     cells = shared.cells
@@ -376,7 +356,7 @@ def mk_node(st: Store, low: NodeRef, var: int, high: NodeRef) -> tuple[NodeRef, 
             raise OrderViolation(
                 f"child {child} has variable x{node.var}, not below x{var}"
             )
-    if reduce_nodes and low == high:
+    if low == high:
         return low, st
     node = Node(low, var, high)
     node_id = shared.hmap.get(node)
@@ -416,7 +396,7 @@ def _neg_rec(st: Store, ref: NodeRef, fuel: int) -> tuple[NodeRef, Store]:
         return LEAF_FALSE, st
     if ref is LEAF_FALSE:
         return LEAF_TRUE, st
-    shared, count, nxt, _, _ = st
+    shared, count, nxt, _ = st
     hit = shared.mneg.get(ref)
     if hit is not None and (type(hit) is Leaf or hit <= count or hit < nxt):
         shared.stats["not_hits"] += 1
@@ -440,7 +420,7 @@ def apply_binop(st: Store, op: str, a: NodeRef, b: NodeRef) -> tuple[NodeRef, St
     operation on pairs of node ids; leaf arguments are resolved before
     the memo table is consulted.
     """
-    if op not in _BINOPS:
+    if op not in BINOPS:
         raise ValueError(f"unknown operation {op!r}")
     return _apply_rec(st, op, a, b, default_fuel(st))
 
@@ -477,7 +457,7 @@ def _apply_rec(
         if b is LEAF_TRUE:
             return _neg_rec(st, a, fuel)
     table, hits, misses = _BINOP_KEYS[op]
-    shared, count, nxt, _, _ = st
+    shared, count, nxt, _ = st
     key = (a, b)
     hit = getattr(shared, table).get(key)
     if hit is not None and (type(hit) is Leaf or hit <= count or hit < nxt):

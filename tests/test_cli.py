@@ -1,15 +1,24 @@
+import argparse
 import contextlib
 import io
 import random
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from bddhc import cli, frontend, interned, oracle, pure
-from bddhc.core import LEAF_FALSE, LEAF_TRUE, MAX_VAR, BddError, Node
+from bddhc.core import (
+    LEAF_FALSE,
+    LEAF_TRUE,
+    MAX_VAR,
+    BddError,
+    Node,
+    formula_max_var,
+)
 from bddhc.cli import count_models, main
-from util import DEEP_FORMULAS, formulas
+from util import DEEP_FORMULAS, UnreducedManager, formulas
 
 
 @pytest.fixture
@@ -316,6 +325,25 @@ def test_readme_commands_parse():
         parser.parse_args(argv)
 
 
+def test_readme_documents_every_option():
+    # a switch the README does not name is a switch only the tests should use
+    readme = README.read_text(encoding="utf-8")
+    (commands,) = [
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = [
+        opt
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for opt in action.option_strings
+    ]
+    assert {"--out", "--size-cap", "--seed"} <= set(options)
+    for opt in options:
+        assert re.search(re.escape(opt) + r"(?![\w-])", readme), opt
+
+
 # -- bench --------------------------------------------------------------------
 
 
@@ -427,9 +455,16 @@ def test_selftest_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_selftest_sabotage_fails_with_witness(capsys):
-    assert main(["selftest", "--cases", "40", "--seed", "1",
-                 "--sabotage", "no-reduce"]) == 1
+def _unreduced_interned(monkeypatch):
+    """Compile the interned backend on a manager that does not reduce."""
+    monkeypatch.setattr(
+        interned, "new_manager", lambda kernel="auto": UnreducedManager()
+    )
+
+
+def test_selftest_sabotage_fails_with_witness(monkeypatch, capsys):
+    _unreduced_interned(monkeypatch)
+    assert main(["selftest", "--cases", "40", "--seed", "1"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "witness" in out
@@ -446,8 +481,64 @@ def test_selftest_counts_must_be_positive(option, value, capsys):
     assert f"argument {option}: must be at least 1, got {value}" in captured.err
 
 
-def test_selftest_witness_is_parseable():
-    ok, witness = cli.run_selftest(seed=2, cases=40, sabotage="no-reduce",
-                                   echo=lambda s: None)
+def test_selftest_witness_is_parseable(monkeypatch):
+    _unreduced_interned(monkeypatch)
+    ok, witness = cli.run_selftest(seed=2, cases=40, echo=lambda s: None)
     assert not ok
     frontend.parse(witness)
+
+
+def test_selftest_reports_canonicity_mismatch(monkeypatch, capsys):
+    # every single-formula compile stays right, so only the pair check can fail:
+    # a fresh object as the second root is equal to no root
+    compile_ = cli._compile
+
+    def second_root_fresh(backend, formulas, kernel="auto"):
+        c = compile_(backend, formulas, kernel)
+        return c._replace(roots=[c.roots[0], object()]) if len(formulas) == 2 else c
+
+    monkeypatch.setattr(cli, "_compile", second_root_fresh)
+    assert main(["selftest", "--cases", "40", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"selftest: FAIL case \d+: canonicity mismatch", lines[0])
+    prefix = "selftest: witness pair: "
+    assert lines[1].startswith(prefix)
+    pair = [frontend.parse(h) for h in lines[1][len(prefix):].split("  vs  ")]
+    # the shrunk pair is still equivalent, which the broken check denies
+    n = max(1, *map(formula_max_var, pair))
+    assert oracle.tables_equal(*(oracle.formula_truth_table(h, n) for h in pair))
+
+
+def test_selftest_has_no_sabotage_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--sabotage", "no-reduce"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sabotage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--cases", "1_0"],
+        ["selftest", "--cases", "\u0662"],  # ARABIC-INDIC DIGIT TWO
+        ["selftest", "--max-vars", "+3"],
+        ["selftest", "--seed", "+3"],
+        ["selftest", "--seed", "1_0"],
+        ["bench", "queens", "--size-cap", "1_0"],
+    ],
+    ids=["cases-underscore", "cases-arabic", "max-vars-plus", "seed-plus",
+         "seed-underscore", "size-cap-underscore"],
+)
+def test_numeric_options_take_ascii_decimal_only(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: not a decimal number: {argv[-1]!r}" in captured.err
+
+
+def test_selftest_seed_may_be_negative(capsys):
+    assert main(["selftest", "--cases", "2", "--seed", "-3"]) == 0
+    assert capsys.readouterr().out == "selftest: 2 cases passed (seed=-3)\n"

@@ -15,6 +15,7 @@ from bddhc.core import (
     BddError,
     ForeignHandle,
     InvalidChild,
+    Leaf,
     OrderViolation,
     Ref,
     VarOutOfRange,
@@ -23,7 +24,7 @@ import bddhc
 from bddhc import frontend, interned, oracle, pure
 from bddhc._pykernel import Handle as PyHandle, Manager as PyManager
 
-from util import gen_trace, play_interned
+from util import UnreducedManager, gen_trace, play_interned, play_pure
 
 needs_compiled = pytest.mark.usefixtures("compiled_kernel")
 
@@ -51,6 +52,17 @@ def test_node_collapses_equal_children(manager):
     h = manager.node(3, manager.false, manager.true)
     assert manager.node(2, h, h) is h
     assert manager.pool_size() == 3
+
+
+def test_reduction_cannot_be_switched_off(manager):
+    # every kernel reduces; a manager class takes no arguments at all
+    with pytest.raises(TypeError):
+        interned.new_manager(manager.IMPL, reduce_nodes=False)
+    with pytest.raises(TypeError):
+        type(manager)(False)
+    with pytest.raises(TypeError):
+        type(manager)(reduce_nodes=False)
+    assert not hasattr(manager, "reduce_nodes")
 
 
 def test_node_is_shared(manager):
@@ -368,7 +380,7 @@ def test_validate_detects_wrong_cache_semantics():
 
 
 def test_validate_unreduced_pool_node():
-    m = PyManager(reduce_nodes=False)
+    m = UnreducedManager()
     m.node(1, m.true, m.true)
     assert "reduced" in interned.validate_manager(m).codes()
 
@@ -423,11 +435,14 @@ def test_clear_caches_does_not_change_uids(kernel):
 # -- cross-kernel parity -----------------------------------------------------
 
 
+def _parity_traces():
+    rng = random.Random(41)
+    return [gen_trace(rng, 60, max_var=5) for _ in range(10)]
+
+
 @needs_compiled
 def test_kernels_agree_on_uids_and_stats():
-    rng = random.Random(41)
-    for _ in range(10):
-        ops = gen_trace(rng, 60, max_var=5)
+    for ops in _parity_traces():
         mp = interned.new_manager("python")
         mc = interned.new_manager("compiled")
         hp = play_interned(mp, ops)
@@ -435,6 +450,21 @@ def test_kernels_agree_on_uids_and_stats():
         assert [h.uid for h in hp] == [h.uid for h in hc]
         assert mp.stats() == mc.stats()
         assert mp.pool_size() == mc.pool_size()
+
+
+def test_pure_store_agrees_with_kernel(kernel):
+    # the pure store numbers its nodes from 1, a manager from 3 after the leaves
+    for ops in _parity_traces():
+        refs, st = play_pure(ops)
+        m = interned.new_manager(kernel)
+        handles = play_interned(m, ops)
+        for ref, h in zip(refs, handles, strict=True):
+            if isinstance(ref, Leaf):
+                assert h.terminal == (ref is LEAF_TRUE)
+            else:
+                assert h.uid == ref + 2
+        assert pure.store_stats(st) == m.stats()
+        assert pure.node_count(st) + 2 == m.pool_size()
 
 
 @needs_compiled

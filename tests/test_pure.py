@@ -40,6 +40,14 @@ def test_mk_node_collapses_equal_branches():
     assert st2 is st
 
 
+def test_reduction_cannot_be_switched_off():
+    assert pure.Store._fields == ("shared", "count", "next", "max_var")
+    with pytest.raises(TypeError):
+        pure.empty_store(reduce_nodes=False)
+    with pytest.raises(TypeError):
+        pure.store_from_parts({}, reduce_nodes=False)
+
+
 def test_mk_node_first_allocation():
     st = pure.empty_store()
     ref, st2 = pure.mk_node(st, LEAF_FALSE, 2, LEAF_TRUE)

@@ -1,5 +1,5 @@
-"""Shared test machinery: reference stores, random operation traces and
-formula strategies."""
+"""Shared test machinery: reference stores, random operation traces,
+formula strategies and a manager that does not reduce."""
 from __future__ import annotations
 
 import random
@@ -7,7 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from bddhc.core import LEAF_FALSE, LEAF_TRUE, And, Const, Node, Not, Or, Ref, Xor
-from bddhc import pure
+from bddhc import _pykernel, pure
 
 
 def ascending_chain_store():
@@ -21,6 +21,26 @@ def ascending_chain_store():
         3: Node(LEAF_FALSE, 3, LEAF_TRUE),
     }
     return pure.store_from_parts(graph)
+
+
+class UnreducedManager(_pykernel.Manager):
+    """A Python-kernel manager whose ``node`` keeps the nodes that reduction
+    collapses: the fault the validators and the selftest must catch."""
+
+    def node(self, var, low, high):
+        made = super().node(var, low, high)  # every check, then the collapse
+        if low is not high:
+            return made
+        key = (var, low.uid, high.uid)
+        made = self._unique.get(key)
+        if made is not None:
+            self.intern_hits += 1
+            return made
+        self.intern_misses += 1
+        made = _pykernel.Handle(self._next_uid, var, low, high, -1, self._tag)
+        self._next_uid += 1
+        self._unique[key] = made
+        return made
 
 
 def formulas(max_var: int, max_leaves: int):
