@@ -39,6 +39,10 @@ RANDOM_PAIR_XOR = {
 # each consecutive pair of those 200, all in one manager
 NODE_CALL_LOG = {"calls": 56917, "sha256": "e6949eb908ac59c3"}
 
+# the pure store after the same sequence as NODE_CALL_LOG, in one store:
+# its node count, next id and a digest of its text form pin the arena order
+PURE_ARENA = {"nodes": 25122, "next": 25123, "sha256": "da881a60947b1b40"}
+
 
 def _random_pair():
     rng = random.Random(1)
@@ -147,3 +151,24 @@ def test_python_kernel_node_call_order_is_pinned():
         m.apply_binop("xor", a, b)
     got = {"calls": calls, "sha256": digest.hexdigest()[:16]}
     assert got == NODE_CALL_LOG
+
+
+def test_pure_arena_order_is_pinned():
+    """The pure counterpart of the node call log: every id in arena order."""
+    st = pure.empty_store()
+    _, st = frontend.compile_pure(frontend.queens_formula(5), st)
+    rng = random.Random(5)
+    refs = []
+    for _ in range(200):
+        f = frontend.random_formula(rng, max_var=8, max_depth=9)
+        ref, st = frontend.compile_pure(f, st)
+        refs.append(ref)
+    for a, b in zip(refs, refs[1:]):
+        _, st = pure.apply_binop(st, "xor", a, b)
+    text = pure.store_to_text(st)
+    got = {
+        "nodes": pure.node_count(st),
+        "next": st.next,
+        "sha256": hashlib.sha256(text.encode()).hexdigest()[:16],
+    }
+    assert got == PURE_ARENA

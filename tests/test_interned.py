@@ -455,7 +455,8 @@ def test_kernels_agree_on_uids_and_stats():
 def test_pure_store_agrees_with_kernel(kernel):
     # the pure store numbers its nodes from 1, a manager from 3 after the leaves
     for ops in _parity_traces():
-        refs, st = play_pure(ops)
+        versions = []
+        refs, st = play_pure(ops, on_step=lambda pre, post, ref: versions.append(post))
         m = interned.new_manager(kernel)
         handles = play_interned(m, ops)
         for ref, h in zip(refs, handles, strict=True):
@@ -465,6 +466,15 @@ def test_pure_store_agrees_with_kernel(kernel):
                 assert h.uid == ref + 2
         assert pure.store_stats(st) == m.stats()
         assert pure.node_count(st) + 2 == m.pool_size()
+        # replay the second half from the midpoint version: the arena tip
+        # is now elsewhere, so its first allocation clones
+        half = len(ops) // 2
+        mid = versions[half - 1]
+        assert st.next > mid.next
+        forked, forked_st = play_pure(ops[half:], mid, refs=refs[: half + 2])
+        assert forked_st.shared is not st.shared
+        assert forked == refs
+        assert pure.store_to_text(forked_st) == pure.store_to_text(st)
 
 
 @needs_compiled

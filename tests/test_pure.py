@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 
 import pytest
@@ -273,6 +274,69 @@ def test_operations_report_dangling_children():
         pure.neg(st, 2)
     with pytest.raises(DanglingRef, match=r"^child id 1 has no graph entry$"):
         pure.mk_node(st, 1, 1, LEAF_TRUE)
+
+
+# the low branch of each operation allocates a node, then the high branch
+# meets the fault; the message names what the high branch meets
+_FAILING_OPERATIONS = {
+    # 4 = (x3, x2, id 3), and id 3 has no graph entry
+    "dangling": (
+        {
+            1: Node(LEAF_FALSE, 3, LEAF_TRUE),
+            2: Node(LEAF_FALSE, 4, LEAF_TRUE),
+            4: Node(1, 2, 3),
+            5: Node(2, 2, 1),
+        },
+        lambda st: pure.apply_binop(st, "and", 4, 5),
+        DanglingRef,
+        "node id 3 has no graph entry",
+    ),
+    # 4 = (x3, x2, id 3), and id 3 tests x3 above its 1-branch on x1
+    "order": (
+        {
+            1: Node(LEAF_FALSE, 3, LEAF_TRUE),
+            2: Node(LEAF_FALSE, 1, LEAF_TRUE),
+            3: Node(LEAF_FALSE, 3, 2),
+            4: Node(1, 2, 3),
+        },
+        lambda st: pure.neg(st, 4),
+        OrderViolation,
+        "child 6 has variable x1, not below x3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_OPERATIONS))
+def test_failed_operation_leaves_its_input_version_intact(case):
+    graph, run, exc, message = _FAILING_OPERATIONS[case]
+    st = pure.store_from_parts(graph)
+    text = pure.store_to_text(st)
+    report = pure.validate_store(st).violations
+    for _ in range(2):
+        with pytest.raises(exc) as info:
+            run(st)
+        assert str(info.value) == message
+        assert pure.store_to_text(st) == text
+        assert pure.validate_store(st).violations == report
+        assert pure.node_count(st) == len(graph)
+
+
+def test_operation_that_allocates_nothing_returns_its_input_store():
+    st = pure.empty_store()
+    a, st = frontend.compile_pure(frontend.parse("x1 | x3"), st)
+    b, st = frontend.compile_pure(frontend.parse("x2 ^ x3"), st)
+    r, st1 = pure.apply_binop(st, "and", a, b)
+    assert st1 is not st
+    again, st2 = pure.apply_binop(st1, "and", a, b)
+    assert (again, st2) == (r, st1)
+    assert st2 is st1
+    n, st3 = pure.neg(st1, r)
+    again, st4 = pure.neg(st3, r)
+    assert again == n
+    assert st4 is st3
+    back, st5 = pure.neg(st3, n)
+    assert back == r
+    assert st5 is st3
 
 
 def test_semantically_equal_formulas_share_one_ref():
@@ -684,3 +748,47 @@ def test_concurrent_extension_from_one_tip():
     for var, ref, local_st in results:
         assert local_st.graph[ref] == Node(LEAF_FALSE, var, base)
         assert pure.validate_store(local_st).ok
+
+
+def test_concurrent_operations_from_one_version():
+    """Eight threads compile and combine formulas from one shared version.
+
+    Each thread's first allocation races the others for the arena tip; the
+    one that wins extends in place and the rest clone, under the lock.
+    """
+    rng = random.Random(11)
+    g = frontend.random_formula(rng, max_var=6, max_depth=6)
+    g_ref, st = frontend.compile_pure(g, pure.empty_store())
+    text = pure.store_to_text(st)
+    formulas = [frontend.random_formula(rng, max_var=6, max_depth=6) for _ in range(8)]
+    ops = ["and", "or", "xor"]
+    results = [None] * len(formulas)
+    errors = []
+
+    def worker(i):
+        try:
+            ref, local_st = frontend.compile_pure(formulas[i], st)
+            results[i] = pure.apply_binop(local_st, ops[i % 3], ref, g_ref)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    want_g = oracle.formula_truth_table(g, 6)
+    for i, (f, (ref, local_st)) in enumerate(zip(formulas, results)):
+        want_f = oracle.formula_truth_table(f, 6).bits
+        want = {"and": want_f & want_g.bits, "or": want_f | want_g.bits,
+                "xor": want_f ^ want_g.bits}[ops[i % 3]]
+        assert oracle.bdd_truth_table(ref, 6, store=local_st).bits == want
+        assert pure.validate_store(local_st, check_memo_semantics=True).ok
+    assert pure.store_to_text(st) == text
+    assert pure.validate_store(st, check_memo_semantics=True).ok

@@ -86,12 +86,13 @@ def gen_trace(rng: random.Random, length: int, max_var: int = 4) -> list[tuple]:
     return ops
 
 
-def play_pure(ops, st=None, on_step=None, clear_between=False):
+def play_pure(ops, st=None, on_step=None, clear_between=False, refs=None):
     """Run a trace on the pure backend; returns (refs, final store).
 
-    ``on_step(pre, post, ref)`` is called after each operation.
+    ``on_step(pre, post, ref)`` is called after each operation.  ``refs``
+    continues a trace: the results of its earlier steps, leaves first.
     """
-    refs = [LEAF_TRUE, LEAF_FALSE]
+    refs = [LEAF_TRUE, LEAF_FALSE] if refs is None else list(refs)
     if st is None:
         st = pure.empty_store()
     for op in ops:
