@@ -35,19 +35,29 @@ nodes straight from the arena.
 
 Hot path
 ========
-``mk_node`` and the ``neg``/``apply_binop`` recursions keep every check
-and every counter: the variable and child-reference shape checks, child
-visibility against ``next``, dangling ids, the variable order, and the
-visibility of hash-consing and memo entries, each with its own exception
-and message.  They run inline on locals read once per call, with a
-``type(x) is int`` fast test that falls back to the full test for
-anything else (bools, int subclasses, bad values), because the call
-overhead of small helpers costs more than the checks themselves; for
-that reason the hash-consing and memo hits repeat ``_visible`` inline.
-``core.Leaf`` hashes by identity, so hashing a node triple with a leaf
-child stays in C.  The recursions call ``mk_node`` and ``_neg_rec``
-through the module globals, so a wrapper installed on this module (a
-tracer, say) sees every call.
+The store is threaded at the API only.  Pristine extracted code would
+return a new version from every recursive call; the paper contrasts that
+with code fine-tuned with constructs Coq lacks, and this module uses the
+fine-tuned form inside one operation.  ``neg`` and ``apply_binop`` make
+one private ``_Cursor`` (the arena, ``count``, ``next`` and ``max_var``),
+their recursions advance it in place and return refs only, and one
+``Store`` is built when the operation returns: the input store itself
+when nothing was allocated.  ``_alloc`` still checks the arena tip under
+its lock on every allocation, so the first allocation on an older
+version, or after another thread extended the arena, clones.
+
+``mk_node`` is the public, checked constructor, and the recursions run
+the same body, ``_mk``, on their cursor: the variable and child-reference
+shape checks, child visibility against ``next``, dangling ids, the
+variable order, and the visibility of hash-consing and memo entries,
+each with its own exception and message.  They run inline on locals read
+once per call, with a ``type(x) is int`` fast test that falls back to
+the full test for anything else (bools, int subclasses, bad values),
+because the call overhead of small helpers costs more than the checks
+themselves; for that reason the hash-consing and memo hits repeat
+``_visible`` inline.  ``core.Leaf`` hashes by identity, so hashing a node
+triple with a leaf child stays in C, and the hash-consing map is probed
+with a plain tuple, which hashes and compares like its ``Node``.
 
 Serialization
 =============
@@ -304,23 +314,55 @@ def default_fuel(st: Store) -> int:
 # Allocation
 
 
-def _alloc(st: Store, node: Node) -> tuple[int, Store]:
-    """Append ``node`` with the fresh id ``st.next``; clone first if this
-    version is not the arena tip."""
-    if st.next <= st.count:
+class _Cursor:
+    """The version one top-level operation is building, private to it.
+
+    The operation starts from ``st`` and advances ``shared``, ``count``,
+    ``next`` and ``max_var`` in place as it allocates; no intermediate
+    version is ever built, because none reaches a caller.  ``done`` makes
+    the one ``Store`` the operation returns.
+    """
+
+    __slots__ = ("st", "shared", "count", "next", "max_var")
+
+    def __init__(self, st: Store) -> None:
+        self.st = st
+        self.shared, self.count, self.next, self.max_var = st
+
+    def done(self, ref: NodeRef) -> tuple[NodeRef, Store]:
+        """``ref`` with the version reached; ``st`` itself if nothing was
+        allocated."""
+        st = self.st
+        if self.next == st.next:
+            return ref, st
+        return ref, Store(self.shared, self.count, self.next, self.max_var)
+
+
+def _alloc(cur: _Cursor, node: Node) -> int:
+    """Append ``node`` with the fresh id ``cur.next`` and advance ``cur``;
+    clone first if the cursor's version is not the arena tip."""
+    node_id, count = cur.next, cur.count
+    if node_id <= count:
         raise BddError(
             "store next counter is not past its allocated ids; "
             "refusing to allocate (run validate_store)"
         )
-    with st.shared.lock:
-        sh = st.shared if st.shared.tip == st.count else _clone_shared(st)
-        node_id = st.next
-        if node_id - 1 > len(sh.cells):
-            sh.cells.extend([None] * (node_id - 1 - len(sh.cells)))
-        sh.cells.append(node)
+    sh = cur.shared
+    with sh.lock:
+        if sh.tip != count:
+            sh = _clone_shared(Store(sh, count, node_id, cur.max_var))
+        cells = sh.cells
+        if node_id - 1 > len(cells):
+            cells.extend([None] * (node_id - 1 - len(cells)))
+        cells.append(node)
         sh.hmap[node] = node_id
-        sh.tip = len(sh.cells)
-    return node_id, Store(sh, node_id, node_id + 1, max(st.max_var, node.var))
+        sh.tip = len(cells)
+    cur.shared = sh
+    cur.count = node_id
+    cur.next = node_id + 1
+    if node.var > cur.max_var:
+        cur.max_var = node.var
+    return node_id
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +377,19 @@ def mk_node(st: Store, low: NodeRef, var: int, high: NodeRef) -> tuple[NodeRef, 
     fresh node under id ``st.next``.  The returned store extends ``st``
     monotonically; on the first two paths it *is* ``st``.
     """
-    shared, count, nxt, _ = st
+    cur = _Cursor(st)
+    return cur.done(_mk(cur, low, var, high))
+
+
+def _mk(cur: _Cursor, low: NodeRef, var: int, high: NodeRef) -> NodeRef:
+    """``mk_node`` on a cursor: every check, then a hit or an allocation."""
     if type(var) is not int or var < 1:
         check_var(var)
+    shared, count, nxt = cur.shared, cur.count, cur.next
     cells = shared.cells
     for child in (low, high):
         if type(child) is not int:
-            if isinstance(child, Leaf):
+            if type(child) is Leaf:  # an enum with members has no subclasses
                 continue
             if not isinstance(child, int) or isinstance(child, bool):
                 raise InvalidChild(f"not a node reference: {child!r}")
@@ -357,14 +405,14 @@ def mk_node(st: Store, low: NodeRef, var: int, high: NodeRef) -> tuple[NodeRef, 
                 f"child {child} has variable x{node.var}, not below x{var}"
             )
     if low == high:
-        return low, st
-    node = Node(low, var, high)
-    node_id = shared.hmap.get(node)
+        return low
+    # a plain tuple hashes and compares like the ``Node`` it would become
+    node_id = shared.hmap.get((low, var, high))
     if node_id is not None and (node_id <= count or node_id < nxt):
         shared.stats["intern_hits"] += 1
-        return node_id, st
+        return node_id
     shared.stats["intern_misses"] += 1
-    return _alloc(st, node)
+    return _alloc(cur, Node(low, var, high))
 
 
 def denote(st: Store, ref: NodeRef, assignment: Assignment) -> bool:
@@ -386,31 +434,33 @@ def eq(a: NodeRef, b: NodeRef) -> bool:
 
 def neg(st: Store, ref: NodeRef) -> tuple[NodeRef, Store]:
     """Complement: the result denotes the pointwise negation of ``ref``."""
-    return _neg_rec(st, ref, default_fuel(st))
+    cur = _Cursor(st)
+    return cur.done(_neg_rec(cur, ref, default_fuel(st)))
 
 
-def _neg_rec(st: Store, ref: NodeRef, fuel: int) -> tuple[NodeRef, Store]:
+def _neg_rec(cur: _Cursor, ref: NodeRef, fuel: int) -> NodeRef:
     if fuel <= 0:
         raise OutOfFuel("negation ran out of fuel")
     if ref is LEAF_TRUE:
-        return LEAF_FALSE, st
+        return LEAF_FALSE
     if ref is LEAF_FALSE:
-        return LEAF_TRUE, st
-    shared, count, nxt, _ = st
+        return LEAF_TRUE
+    shared, count = cur.shared, cur.count
     hit = shared.mneg.get(ref)
-    if hit is not None and (type(hit) is Leaf or hit <= count or hit < nxt):
+    if hit is not None and (type(hit) is Leaf or hit <= count or hit < cur.next):
         shared.stats["not_hits"] += 1
-        return hit, st
+        return hit
     shared.stats["not_misses"] += 1
     node = shared.cells[ref - 1] if 1 <= ref <= count else None
     if node is None:
         raise DanglingRef(f"node id {ref} has no graph entry")
     low, var, high = node
-    low, st = _neg_rec(st, low, fuel - 1)
-    high, st = _neg_rec(st, high, fuel - 1)
-    result, st = mk_node(st, low, var, high)
-    st.shared.mneg[ref] = result
-    return result, st
+    low = _neg_rec(cur, low, fuel - 1)
+    high = _neg_rec(cur, high, fuel - 1)
+    result = _mk(cur, low, var, high)
+    # re-fetch: allocating above may have forked the arena
+    cur.shared.mneg[ref] = result
+    return result
 
 
 def apply_binop(st: Store, op: str, a: NodeRef, b: NodeRef) -> tuple[NodeRef, Store]:
@@ -422,47 +472,46 @@ def apply_binop(st: Store, op: str, a: NodeRef, b: NodeRef) -> tuple[NodeRef, St
     """
     if op not in BINOPS:
         raise ValueError(f"unknown operation {op!r}")
-    return _apply_rec(st, op, a, b, default_fuel(st))
+    cur = _Cursor(st)
+    return cur.done(_apply_rec(cur, op, a, b, default_fuel(st)))
 
 
-def _apply_rec(
-    st: Store, op: str, a: NodeRef, b: NodeRef, fuel: int
-) -> tuple[NodeRef, Store]:
+def _apply_rec(cur: _Cursor, op: str, a: NodeRef, b: NodeRef, fuel: int) -> NodeRef:
     if fuel <= 0:
         raise OutOfFuel(f"{op} ran out of fuel")
     if a == b:
-        return (LEAF_FALSE, st) if op == "xor" else (a, st)
+        return LEAF_FALSE if op == "xor" else a
     if op == "and":
         if a is LEAF_FALSE or b is LEAF_FALSE:
-            return LEAF_FALSE, st
+            return LEAF_FALSE
         if a is LEAF_TRUE:
-            return b, st
+            return b
         if b is LEAF_TRUE:
-            return a, st
+            return a
     elif op == "or":
         if a is LEAF_TRUE or b is LEAF_TRUE:
-            return LEAF_TRUE, st
+            return LEAF_TRUE
         if a is LEAF_FALSE:
-            return b, st
+            return b
         if b is LEAF_FALSE:
-            return a, st
+            return a
     else:
         if a is LEAF_FALSE:
-            return b, st
+            return b
         if b is LEAF_FALSE:
-            return a, st
+            return a
         # xor against true is negation; mneg carries the memoization
         if a is LEAF_TRUE:
-            return _neg_rec(st, b, fuel)
+            return _neg_rec(cur, b, fuel)
         if b is LEAF_TRUE:
-            return _neg_rec(st, a, fuel)
+            return _neg_rec(cur, a, fuel)
     table, hits, misses = _BINOP_KEYS[op]
-    shared, count, nxt, _ = st
+    shared, count = cur.shared, cur.count
     key = (a, b)
     hit = getattr(shared, table).get(key)
-    if hit is not None and (type(hit) is Leaf or hit <= count or hit < nxt):
+    if hit is not None and (type(hit) is Leaf or hit <= count or hit < cur.next):
         shared.stats[hits] += 1
-        return hit, st
+        return hit
     shared.stats[misses] += 1
     cells = shared.cells
     node_a = cells[a - 1] if 1 <= a <= count else None
@@ -478,13 +527,13 @@ def _apply_rec(
     elif var_b < var:
         var = var_b
         a_low = a_high = a
-    low, st = _apply_rec(st, op, a_low, b_low, fuel - 1)
-    high, st = _apply_rec(st, op, a_high, b_high, fuel - 1)
-    result, st = mk_node(st, low, var, high)
+    low = _apply_rec(cur, op, a_low, b_low, fuel - 1)
+    high = _apply_rec(cur, op, a_high, b_high, fuel - 1)
+    result = _mk(cur, low, var, high)
     # re-fetch: allocating above may have forked the arena, and the entry
     # must land in the arena this lineage now owns
-    getattr(st.shared, table)[key] = result
-    return result, st
+    getattr(cur.shared, table)[key] = result
+    return result
 
 
 def size(st: Store, ref: NodeRef) -> int:
