@@ -34,7 +34,6 @@ from .core import (
     Xor,
     eval_formula,
     formula_max_var,
-    node_should_collapse,
     var,
 )
 from . import core, frontend, interned, oracle, pure
@@ -71,7 +70,6 @@ __all__ = [
     "formula_max_var",
     "frontend",
     "interned",
-    "node_should_collapse",
     "oracle",
     "pure",
     "var",

@@ -38,6 +38,7 @@ from .core import (
     Const,
     Formula,
     Not,
+    OPS,
     Or,
     ValidationReport,
     Xor,
@@ -52,11 +53,11 @@ PIGEONHOLE_SIZE_CAP = 7
 
 
 def _memo_totals(stats: dict[str, int]) -> tuple[int, int]:
-    hits = sum(v for k, v in stats.items() if k.endswith("_hits") and k != "intern_hits")
-    misses = sum(
-        v for k, v in stats.items() if k.endswith("_misses") and k != "intern_misses"
+    """Memo hits and misses, summed over the memoized operations."""
+    return (
+        sum(stats[op + "_hits"] for op in OPS),
+        sum(stats[op + "_misses"] for op in OPS),
     )
-    return hits, misses
 
 
 def count_models(root, n: int, store: Optional[pure.Store] = None) -> int:

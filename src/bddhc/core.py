@@ -114,15 +114,6 @@ class Node(NamedTuple):
     high: NodeRef
 
 
-def node_should_collapse(low: NodeRef, high: NodeRef) -> bool:
-    """True iff a node with these branches must not be built.
-
-    A decision node whose branches are equal denotes the same function as
-    either branch, so constructors return the branch instead.
-    """
-    return low == high
-
-
 # The memoized operations as both backends name them, negation first, and
 # their interning and per-operation counters in the order stats report them.
 OPS = ("not", "and", "or", "xor")

@@ -15,18 +15,20 @@ A store is a small immutable record pointing into an append-only arena:
 * one memo dict per operation; ``_MEMO_TABLES`` lists them.
 
 A store value carries ``count`` (how many arena slots it can see) and
-``next`` (the next fresh id).  Extending the newest version appends in
-place, O(1); extending any older version first clones its visible prefix,
-so earlier versions are never disturbed.  Entries added by newer versions
-have ids ``>= next`` of every older version and are filtered out of the
-older versions' views, which is what makes sharing sound.
+``next`` (the next fresh id).  An operation on the newest version of an
+arena (the one that sees every slot) extends it in place, O(1); one on
+any older version works on a clone of what that version sees, so earlier
+versions are never disturbed.  Entries added by newer versions have ids
+``>= next`` of every older version and are filtered out of the older
+versions' views, which is what makes sharing sound.
 
 That visibility rule (a leaf, or an id ``<= count`` or ``< next``) is
 written once, in ``_visible``.  As in the paper's record of finite maps,
 a version hands out its tables as plain dicts: ``Store.graph`` (id ->
 node), ``Store.hmap`` and the four ``Store.memo`` tables each return a
 new dict of the entries whose value and key ids the version sees.
-Cloning, validation and serialization read those dicts.
+Cloning, validation and serialization read those dicts; operations
+never apply the rule (see Hot path).
 
 Code that only reads a finished diagram (size, denotation, the memo
 semantics check, the oracle, model counting, mirroring into a manager)
@@ -38,26 +40,32 @@ Hot path
 The store is threaded at the API only.  Pristine extracted code would
 return a new version from every recursive call; the paper contrasts that
 with code fine-tuned with constructs Coq lacks, and this module uses the
-fine-tuned form inside one operation.  ``neg`` and ``apply_binop`` make
-one private ``_Cursor`` (the arena, ``count``, ``next`` and ``max_var``),
-their recursions advance it in place and return refs only, and one
-``Store`` is built when the operation returns: the input store itself
-when nothing was allocated.  ``_alloc`` still checks the arena tip under
-its lock on every allocation, so the first allocation on an older
-version, or after another thread extended the arena, clones.
+fine-tuned form inside one operation.  ``mk_node``, ``neg`` and
+``apply_binop`` each run through ``_operate``, which gives the operation
+an arena holding only what its input version sees: the version's own
+arena, under that arena's lock from start to end, when the version is
+the newest; otherwise a private clone of the version.  So an operation on
+an older version pays one copy of that version even when it allocates
+nothing, and a clone it does not extend is dropped with what it memoized.
+The operation advances one private ``_Cursor`` (the arena, ``count``,
+``next`` and ``max_var``) in place, its recursions return refs only, and
+one ``Store`` is built when it returns: the input store itself when
+nothing was allocated.  Nothing in the arena is hidden from the cursor,
+so hash-consing and memo hits need no visibility test and ``_alloc``
+just appends.
 
 ``mk_node`` is the public, checked constructor, and the recursions run
 the same body, ``_mk``, on their cursor: the variable and child-reference
-shape checks, child visibility against ``next``, dangling ids, the
-variable order, and the visibility of hash-consing and memo entries,
-each with its own exception and message.  They run inline on locals read
-once per call, with a ``type(x) is int`` fast test that falls back to
-the full test for anything else (bools, int subclasses, bad values),
-because the call overhead of small helpers costs more than the checks
-themselves; for that reason the hash-consing and memo hits repeat
-``_visible`` inline.  ``core.Leaf`` hashes by identity, so hashing a node
-triple with a leaf child stays in C, and the hash-consing map is probed
-with a plain tuple, which hashes and compares like its ``Node``.
+shape checks, child visibility against ``next``, dangling ids and the
+variable order, each with its own exception and message; ``neg`` and
+``apply_binop`` check their operands on entry the same way.  The checks
+run inline on locals read once per call, with a ``type(x) is int`` fast
+test that falls back to the full test for anything else (bools, int
+subclasses, bad values), because the call overhead of small helpers
+costs more than the checks themselves.  ``core.Leaf`` hashes by
+identity, so hashing a node triple with a leaf child stays in C, and the
+hash-consing map is probed with a plain tuple, which hashes and compares
+like its ``Node``.
 
 Serialization
 =============
@@ -97,7 +105,6 @@ from .core import (
     STAT_KEYS,
     ValidationReport,
     check_var,
-    node_should_collapse,
     parse_decimal,
 )
 
@@ -114,18 +121,18 @@ _BINOP_KEYS = {
 class _Shared:
     """Append-only arena shared by every version of one store lineage.
 
-    ``tip`` is the slot count of the unique version that may extend in
-    place; extending any other version clones first.  The lock serializes
-    slot allocation (tip check + append must be atomic).  Reads need no
+    Only an operation on the arena's newest version (the one whose
+    ``count`` is ``len(cells)``) writes to it, and it holds ``lock`` from
+    start to end; every other operation runs on a clone (``_operate``).
+    So the newest version sees everything in its arena.  Reads need no
     lock: slots are never reassigned, and reads of the dict tables go
-    through ``dict.copy``, which the GIL makes atomic.  Single-key memo
-    inserts are likewise GIL-atomic.  The stats counters are instrumentation; they
-    are only guaranteed exact under single-threaded use.
+    through ``dict.copy``, which the GIL makes atomic.  The stats counters
+    are instrumentation: they count the work done in this arena.
     """
 
     __slots__ = (
         "cells", "hmap", *(attr for attr, _ in _MEMO_TABLES.values()),
-        "tip", "lock", "stats",
+        "lock", "stats",
     )
 
     def __init__(self) -> None:
@@ -133,7 +140,6 @@ class _Shared:
         self.hmap: dict[Node, int] = {}
         for attr, _ in _MEMO_TABLES.values():
             setattr(self, attr, {})
-        self.tip = 0
         self.lock = threading.Lock()
         self.stats = dict.fromkeys(STAT_KEYS, 0)
 
@@ -141,8 +147,10 @@ class _Shared:
 def _visible(ref: NodeRef, count: int, nxt: int) -> bool:
     """Whether a version with ``count`` slots and next id ``nxt`` sees ``ref``.
 
-    Leaves are always visible.  Every read of a version's tables applies
-    this rule; the hot path spells it out inline.
+    Leaves are always visible.  The code that reads a version applies
+    this rule: its views, and through them the clone, the validator and
+    the serializer.  Operations need no test, because each runs on an
+    arena that holds only what its input version sees (``_operate``).
     """
     return type(ref) is Leaf or ref <= count or ref < nxt
 
@@ -241,6 +249,8 @@ def store_from_parts(
     build broken stores so ``validate_store`` has something to report.
     When ``hmap`` is omitted the exact inverse of ``graph`` is used; when
     ``next_id`` is omitted, one past the largest id mentioned anywhere.
+    The store's arena holds only what its views show: entries the store
+    cannot see are dropped.
     """
     sh = _Shared()
     max_id = max(graph, default=0)
@@ -258,8 +268,8 @@ def store_from_parts(
     memo = (memo_and, memo_or, memo_xor, memo_neg)
     for (attr, _), table in zip(_MEMO_TABLES.values(), memo):
         setattr(sh, attr, dict(table or {}))
-    sh.tip = max_id
     max_var = max((n.var for n in graph.values()), default=0)
+    sh = _clone_shared(Store(sh, max_id, next_id, max_var))
     return Store(sh, max_id, next_id, max_var)
 
 
@@ -282,7 +292,6 @@ def _clone_shared(st: Store, copy_memo: bool = True) -> _Shared:
         for attr, table in st.memo._asdict().items():
             setattr(sh, attr, table)
     sh.stats = st.shared.stats.copy()
-    sh.tip = st.count
     return sh
 
 
@@ -291,7 +300,8 @@ def store_stats(st: Store) -> dict[str, int]:
 
     Counters are instrumentation attached to the arena, not part of the
     store value: they count work done in this lineage, for reports and
-    complexity tests.
+    complexity tests.  An operation on an older version counts in its
+    clone, which is dropped if the operation allocates nothing.
     """
     return st.shared.stats.copy()
 
@@ -317,17 +327,19 @@ def default_fuel(st: Store) -> int:
 class _Cursor:
     """The version one top-level operation is building, private to it.
 
-    The operation starts from ``st`` and advances ``shared``, ``count``,
-    ``next`` and ``max_var`` in place as it allocates; no intermediate
-    version is ever built, because none reaches a caller.  ``done`` makes
-    the one ``Store`` the operation returns.
+    The operation starts from ``st`` on ``shared``, an arena that holds
+    only what ``st`` sees (``_operate``), and advances ``count``, ``next``
+    and ``max_var`` in place as it allocates; no intermediate version is
+    ever built, because none reaches a caller.  ``done`` makes the one
+    ``Store`` the operation returns.
     """
 
     __slots__ = ("st", "shared", "count", "next", "max_var")
 
-    def __init__(self, st: Store) -> None:
+    def __init__(self, st: Store, shared: _Shared) -> None:
         self.st = st
-        self.shared, self.count, self.next, self.max_var = st
+        self.shared = shared
+        _, self.count, self.next, self.max_var = st
 
     def done(self, ref: NodeRef) -> tuple[NodeRef, Store]:
         """``ref`` with the version reached; ``st`` itself if nothing was
@@ -338,9 +350,27 @@ class _Cursor:
         return ref, Store(self.shared, self.count, self.next, self.max_var)
 
 
+def _operate(st: Store, body, *args) -> tuple[NodeRef, Store]:
+    """``body(cursor, *args)`` with the version it reaches, run on an arena
+    holding only what ``st`` sees: the newest version's own arena, under its
+    lock until the operation ends, or else a private clone of ``st``."""
+    shared = st.shared
+    # acquire/release, not ``with``, which costs about twice as much per call
+    # and shows on jobs made of many small operations
+    lock = shared.lock
+    lock.acquire()
+    try:
+        if len(shared.cells) == st.count:
+            cur = _Cursor(st, shared)
+            return cur.done(body(cur, *args))
+    finally:
+        lock.release()
+    cur = _Cursor(st, _clone_shared(st))
+    return cur.done(body(cur, *args))
+
+
 def _alloc(cur: _Cursor, node: Node) -> int:
-    """Append ``node`` with the fresh id ``cur.next`` and advance ``cur``;
-    clone first if the cursor's version is not the arena tip."""
+    """Append ``node`` with the fresh id ``cur.next`` and advance ``cur``."""
     node_id, count = cur.next, cur.count
     if node_id <= count:
         raise BddError(
@@ -348,16 +378,11 @@ def _alloc(cur: _Cursor, node: Node) -> int:
             "refusing to allocate (run validate_store)"
         )
     sh = cur.shared
-    with sh.lock:
-        if sh.tip != count:
-            sh = _clone_shared(Store(sh, count, node_id, cur.max_var))
-        cells = sh.cells
-        if node_id - 1 > len(cells):
-            cells.extend([None] * (node_id - 1 - len(cells)))
-        cells.append(node)
-        sh.hmap[node] = node_id
-        sh.tip = len(cells)
-    cur.shared = sh
+    cells = sh.cells
+    if node_id - 1 > count:
+        cells.extend([None] * (node_id - 1 - count))
+    cells.append(node)
+    sh.hmap[node] = node_id
     cur.count = node_id
     cur.next = node_id + 1
     if node.var > cur.max_var:
@@ -377,8 +402,7 @@ def mk_node(st: Store, low: NodeRef, var: int, high: NodeRef) -> tuple[NodeRef, 
     fresh node under id ``st.next``.  The returned store extends ``st``
     monotonically; on the first two paths it *is* ``st``.
     """
-    cur = _Cursor(st)
-    return cur.done(_mk(cur, low, var, high))
+    return _operate(st, _mk, low, var, high)
 
 
 def _mk(cur: _Cursor, low: NodeRef, var: int, high: NodeRef) -> NodeRef:
@@ -408,7 +432,7 @@ def _mk(cur: _Cursor, low: NodeRef, var: int, high: NodeRef) -> NodeRef:
         return low
     # a plain tuple hashes and compares like the ``Node`` it would become
     node_id = shared.hmap.get((low, var, high))
-    if node_id is not None and (node_id <= count or node_id < nxt):
+    if node_id is not None:
         shared.stats["intern_hits"] += 1
         return node_id
     shared.stats["intern_misses"] += 1
@@ -432,10 +456,21 @@ def eq(a: NodeRef, b: NodeRef) -> bool:
     return a == b
 
 
+def _check_operand(st: Store, ref: NodeRef) -> None:
+    """Raise unless ``ref`` is a leaf or a node ``st`` holds, with the
+    types and messages of the recursions' own checks."""
+    if type(ref) is Leaf:
+        return
+    if type(ref) is not int and (not isinstance(ref, int) or isinstance(ref, bool)):
+        raise InvalidChild(f"not a node reference: {ref!r}")
+    if not 1 <= ref <= st.count or st.shared.cells[ref - 1] is None:
+        raise DanglingRef(f"node id {ref} has no graph entry")
+
+
 def neg(st: Store, ref: NodeRef) -> tuple[NodeRef, Store]:
     """Complement: the result denotes the pointwise negation of ``ref``."""
-    cur = _Cursor(st)
-    return cur.done(_neg_rec(cur, ref, default_fuel(st)))
+    _check_operand(st, ref)
+    return _operate(st, _neg_rec, ref, default_fuel(st))
 
 
 def _neg_rec(cur: _Cursor, ref: NodeRef, fuel: int) -> NodeRef:
@@ -447,7 +482,7 @@ def _neg_rec(cur: _Cursor, ref: NodeRef, fuel: int) -> NodeRef:
         return LEAF_TRUE
     shared, count = cur.shared, cur.count
     hit = shared.mneg.get(ref)
-    if hit is not None and (type(hit) is Leaf or hit <= count or hit < cur.next):
+    if hit is not None:
         shared.stats["not_hits"] += 1
         return hit
     shared.stats["not_misses"] += 1
@@ -458,8 +493,7 @@ def _neg_rec(cur: _Cursor, ref: NodeRef, fuel: int) -> NodeRef:
     low = _neg_rec(cur, low, fuel - 1)
     high = _neg_rec(cur, high, fuel - 1)
     result = _mk(cur, low, var, high)
-    # re-fetch: allocating above may have forked the arena
-    cur.shared.mneg[ref] = result
+    shared.mneg[ref] = result
     return result
 
 
@@ -472,8 +506,9 @@ def apply_binop(st: Store, op: str, a: NodeRef, b: NodeRef) -> tuple[NodeRef, St
     """
     if op not in BINOPS:
         raise ValueError(f"unknown operation {op!r}")
-    cur = _Cursor(st)
-    return cur.done(_apply_rec(cur, op, a, b, default_fuel(st)))
+    _check_operand(st, a)
+    _check_operand(st, b)
+    return _operate(st, _apply_rec, op, a, b, default_fuel(st))
 
 
 def _apply_rec(cur: _Cursor, op: str, a: NodeRef, b: NodeRef, fuel: int) -> NodeRef:
@@ -508,8 +543,9 @@ def _apply_rec(cur: _Cursor, op: str, a: NodeRef, b: NodeRef, fuel: int) -> Node
     table, hits, misses = _BINOP_KEYS[op]
     shared, count = cur.shared, cur.count
     key = (a, b)
-    hit = getattr(shared, table).get(key)
-    if hit is not None and (type(hit) is Leaf or hit <= count or hit < cur.next):
+    memo = getattr(shared, table)
+    hit = memo.get(key)
+    if hit is not None:
         shared.stats[hits] += 1
         return hit
     shared.stats[misses] += 1
@@ -530,9 +566,7 @@ def _apply_rec(cur: _Cursor, op: str, a: NodeRef, b: NodeRef, fuel: int) -> Node
     low = _apply_rec(cur, op, a_low, b_low, fuel - 1)
     high = _apply_rec(cur, op, a_high, b_high, fuel - 1)
     result = _mk(cur, low, var, high)
-    # re-fetch: allocating above may have forked the arena, and the entry
-    # must land in the arena this lineage now owns
-    getattr(cur.shared, table)[key] = result
+    memo[key] = result
     return result
 
 
@@ -596,7 +630,7 @@ def validate_store(st: Store, check_memo_semantics: bool = False) -> ValidationR
                     "acyclicity",
                     f"node {node_id} has child {child}, ids must decrease",
                 )
-        if node_should_collapse(node.low, node.high):
+        if node.low == node.high:
             report.add("reduced", f"node {node_id} has equal branches {node.low!r}")
         for child in (node.low, node.high):
             if isinstance(child, Leaf):

@@ -45,18 +45,20 @@ def _load_compiled_kernel() -> str:
     temporary directory removed at exit, and ``bddhc.interned`` is reloaded
     to pick it up.  It is built even when a kernel is already importable,
     so the suite tests the tree's source, never a stale in-place build.
-    Returns the build error with the compiler's output, or ``""``.
+    Returns the build error with the compiler's output, or ``""``; a
+    missing setuptools is such an error, so only the compiled-kernel tests
+    fail on it.
     """
-    from setuptools import Distribution, Extension
-    from setuptools.command.build_ext import build_ext
-
     out = tempfile.mkdtemp(prefix="bddhc-speedups-")
     atexit.register(shutil.rmtree, out, True)
-    ext = Extension("bddhc._speedups", [str(SPEEDUPS_C)])
-    cmd = build_ext(Distribution({"name": "bddhc", "ext_modules": [ext]}))
-    cmd.build_lib = cmd.build_temp = out
     log = tempfile.TemporaryFile("w+")
     try:
+        from setuptools import Distribution, Extension
+        from setuptools.command.build_ext import build_ext
+
+        ext = Extension("bddhc._speedups", [str(SPEEDUPS_C)])
+        cmd = build_ext(Distribution({"name": "bddhc", "ext_modules": [ext]}))
+        cmd.build_lib = cmd.build_temp = out
         with _output_to(log):
             cmd.ensure_finalized()
             cmd.run()
@@ -65,7 +67,7 @@ def _load_compiled_kernel() -> str:
         spec = importlib.util.spec_from_file_location(ext.name, path, loader=loader)
         module = importlib.util.module_from_spec(spec)
         loader.exec_module(module)
-    except Exception as exc:  # no headers, a compile error, a failed link or load
+    except Exception as exc:  # no setuptools, no headers, a failed build or load
         log.seek(0)
         return f"{type(exc).__name__}: {exc}\n{log.read()}"
     finally:

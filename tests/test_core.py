@@ -19,24 +19,9 @@ from bddhc.core import (
     eval_formula,
     formula_max_var,
     formula_size,
-    node_should_collapse,
     postorder,
     var,
 )
-
-
-def test_collapse_equal_leaves():
-    assert node_should_collapse(LEAF_TRUE, LEAF_TRUE)
-
-
-def test_collapse_distinct_leaves():
-    assert not node_should_collapse(LEAF_TRUE, LEAF_FALSE)
-
-
-def test_collapse_equal_ids():
-    assert node_should_collapse(3, 3)
-    assert not node_should_collapse(3, 4)
-    assert not node_should_collapse(3, LEAF_TRUE)
 
 
 refs = st.one_of(st.sampled_from([LEAF_TRUE, LEAF_FALSE]), st.integers(1, 6))

@@ -71,9 +71,10 @@ SELFTEST = {
     "sabotage": (["--seed", "2", "--cases", "40"], 1, "205fc7ad545138d4"),
 }
 
-# every view of every version of ``_version_tree()``, recorded before the
-# store's hmap and memo views became one class
-VERSION_TREE = "f5db3e97caf0eed5"
+# every view of every version of ``_version_tree()``, recorded when each
+# operation came to own the arena it writes: an operation on an older
+# version that allocates nothing no longer leaves memo entries behind
+VERSION_TREE = "e1a9d5fac05668a2"
 
 
 def _digest(text):
@@ -116,9 +117,10 @@ def test_bench_rows(kernel, capsys):
 def _version_tree():
     """About 60 store versions grown from random earlier ones.
 
-    Extending a version that is not its arena's tip forks the arena with
-    its memo tables, so later versions share, fork and outgrow earlier
-    ones; ``clear_memo`` versions fork without memo.
+    An operation on a version that is not its arena's newest runs on a
+    clone of that version with its memo tables, kept only if the operation
+    allocates, so later versions share, fork and outgrow earlier ones;
+    ``clear_memo`` versions fork without memo.
     """
     rng = random.Random(8)
     versions = [(pure.empty_store(), [LEAF_FALSE, LEAF_TRUE])]

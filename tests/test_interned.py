@@ -466,8 +466,8 @@ def test_pure_store_agrees_with_kernel(kernel):
                 assert h.uid == ref + 2
         assert pure.store_stats(st) == m.stats()
         assert pure.node_count(st) + 2 == m.pool_size()
-        # replay the second half from the midpoint version: the arena tip
-        # is now elsewhere, so its first allocation clones
+        # replay the second half from the midpoint version: it is no longer
+        # its arena's newest, so each operation on it runs on a clone
         half = len(ops) // 2
         mid = versions[half - 1]
         assert st.next > mid.next

@@ -276,6 +276,39 @@ def test_operations_report_dangling_children():
         pure.mk_node(st, 1, 1, LEAF_TRUE)
 
 
+# operands are checked on entry, before any leaf rule or memo lookup, as
+# ``mk_node`` checks its children
+_BAD_OPERANDS = {
+    "neg-str": ("not", ("nope",), InvalidChild, "not a node reference: 'nope'"),
+    "neg-bool": ("not", (True,), InvalidChild, "not a node reference: True"),
+    "neg-none": ("not", (None,), InvalidChild, "not a node reference: None"),
+    "and-str": (
+        "and", ("nope", LEAF_TRUE), InvalidChild, "not a node reference: 'nope'"
+    ),
+    "or-float": (
+        "or", (LEAF_FALSE, 2.0), InvalidChild, "not a node reference: 2.0"
+    ),
+    "xor-bool": (
+        "xor", (LEAF_TRUE, False), InvalidChild, "not a node reference: False"
+    ),
+    "and-dangling-pair": (
+        "and", (99, 99), DanglingRef, "node id 99 has no graph entry"
+    ),
+    "xor-dangling": (
+        "xor", (7, LEAF_FALSE), DanglingRef, "node id 7 has no graph entry"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_OPERANDS))
+def test_operations_check_their_operands(case):
+    op, args, exc, message = _BAD_OPERANDS[case]
+    st = pure.empty_store()
+    with pytest.raises(exc) as info:
+        pure.neg(st, *args) if op == "not" else pure.apply_binop(st, op, *args)
+    assert str(info.value) == message
+
+
 # the low branch of each operation allocates a node, then the high branch
 # meets the fault; the message names what the high branch meets
 _FAILING_OPERATIONS = {
@@ -385,6 +418,14 @@ def test_size_examples():
 def test_validate_unreduced_node():
     st = pure.store_from_parts({1: Node(LEAF_TRUE, 1, LEAF_TRUE)})
     assert "reduced" in pure.validate_store(st).codes()
+    # equal id children, and unequal children of either kind
+    st = pure.store_from_parts(
+        {1: Node(LEAF_FALSE, 2, LEAF_TRUE), 2: Node(1, 1, 1), 3: Node(1, 1, LEAF_TRUE)}
+    )
+    report = pure.validate_store(st)
+    assert [v.message for v in report.violations] == [
+        "node 2 has equal branches 1",
+    ]
 
 
 def test_validate_left_inverse_broken():
@@ -564,6 +605,53 @@ def test_forked_op_does_not_poison_sibling_memo():
     )
     assert pure.validate_store(st_and, check_memo_semantics=True).ok
     assert pure.validate_store(st_fork, check_memo_semantics=True).ok
+
+
+def _not_x1():
+    """The newest version of a fresh arena holding ``!x1`` as id 1."""
+    _, st = pure.mk_node(pure.empty_store(), LEAF_TRUE, 1, LEAF_FALSE)
+    return st
+
+
+def test_older_version_cannot_negate_a_newer_id():
+    st0 = _not_x1()
+    x1, st1 = pure.mk_node(st0, LEAF_FALSE, 1, LEAF_TRUE)
+    assert x1 == 2
+    assert pure.neg(st1, x1)[0] == 1  # memoizes 2 -> 1 in the shared arena
+    with pytest.raises(DanglingRef, match=r"^node id 2 has no graph entry$"):
+        pure.neg(st0, 2)
+
+
+def test_older_version_cannot_combine_newer_ids():
+    st0 = _not_x1()
+    x2, st1 = pure.mk_node(st0, LEAF_FALSE, 2, LEAF_TRUE)
+    not_x2, st1 = pure.neg(st1, x2)
+    assert (x2, not_x2) == (2, 3)
+    # memoizes (2, 3) -> false in the shared arena
+    assert pure.apply_binop(st1, "and", 2, 3)[0] is LEAF_FALSE
+    with pytest.raises(DanglingRef, match=r"^node id 2 has no graph entry$"):
+        pure.apply_binop(st0, "and", 2, 3)
+
+
+def test_hand_built_store_drops_memo_entries_it_cannot_see():
+    st = pure.store_from_parts(
+        {1: Node(LEAF_FALSE, 1, LEAF_TRUE)}, memo_and={(9, 1): 1}
+    )
+    assert st.memo.mand == {}
+    with pytest.raises(DanglingRef, match=r"^node id 9 has no graph entry$"):
+        pure.apply_binop(st, "and", 9, 1)
+
+
+def test_read_only_operation_on_older_version_leaves_the_arena_alone():
+    st_old = _not_x1()
+    x1, st_old = pure.mk_node(st_old, LEAF_FALSE, 1, LEAF_TRUE)
+    _, st_new = pure.mk_node(st_old, LEAF_FALSE, 2, LEAF_TRUE)
+    stats, memo = pure.store_stats(st_new), st_new.memo
+    ref, st = pure.neg(st_old, x1)
+    assert ref == 1 and st is st_old
+    assert pure.store_stats(st_new) == stats
+    assert st_new.memo == memo
+    assert st_old.memo.mneg == {}
 
 
 def test_memo_soundness_random_traces():
@@ -753,8 +841,9 @@ def test_concurrent_extension_from_one_tip():
 def test_concurrent_operations_from_one_version():
     """Eight threads compile and combine formulas from one shared version.
 
-    Each thread's first allocation races the others for the arena tip; the
-    one that wins extends in place and the rest clone, under the lock.
+    Each operation on the shared version takes the arena's lock; once one
+    thread has allocated, that version is no longer the arena's newest, and
+    the other threads' operations on it run on clones.
     """
     rng = random.Random(11)
     g = frontend.random_formula(rng, max_var=6, max_depth=6)
