@@ -27,15 +27,10 @@ and/or/xor share one memoized Shannon expansion, ``_apply_rec(op, a, b)``.
 memo table and hit/miss counters), looked up once by ``apply_binop``;
 the leaf rules read ``op.kind`` only when an operand is a leaf or both
 are the same node.  ``_neg_rec`` keeps its own recursion on the ``not``
-record.  Against the three copied recursions this replaced, perfbench on
-a 2-vCPU VM (Python 3.11.7, 10 alternated pairs per workload) gave
-``jobs_per_s.interned`` medians of 1.011 against 1.036 on queens and 194
-against 207 on equiv, each gap inside the older code's interquartile
-range (0.094 and 17).  Binding
-``self._apply_rec`` to a local per call measured slower and is not
-used.  The recursions call ``self.node`` and ``self._neg_rec`` through
-the instance, so a wrapper set as an instance attribute (a tracer, say)
-sees every constructor call.
+record.  Binding ``self._apply_rec`` to a local per call measured slower
+and is not used.  The recursions call ``self.node`` and ``self._neg_rec``
+through the instance, so a wrapper set as an instance attribute (a
+tracer, say) sees every constructor call.
 """
 from __future__ import annotations
 

@@ -35,11 +35,10 @@
 #define MAX_DEPTH 30000
 
 /* From bddhc.core and bddhc._pykernel, set at import. */
-static PyObject *ForeignHandle, *InvalidChild, *OrderViolation, *VarOutOfRange;
-static PyObject *check_var, *manager_ids;
+static PyObject *OrderViolation, *VarOutOfRange;
+static PyObject *check_var, *check_owned_rule, *manager_ids;
 /* Operation names, compared with == against apply_binop's argument. */
 static PyObject *op_names[4];
-static PyObject *tag_name, *uid_name;
 
 /* ------------------------------------------------------------------ */
 /* Handle */
@@ -179,42 +178,19 @@ table_get(PyObject *table, PyObject *key)
     return (HandleObject *)Py_NewRef(found);
 }
 
-/* A non-Handle with ``name`` counts as a handle of some other manager,
- * as the builtin hasattr decides it. */
-static int
-has_attr(PyObject *obj, PyObject *name)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value != NULL) {
-        Py_DECREF(value);
-        return 1;
-    }
-    if (!PyErr_ExceptionMatches(PyExc_AttributeError))
-        return -1;
-    PyErr_Clear();
-    return 0;
-}
-
+/* The ownership rule is ManagerBase._check_owned.  Only its fast test is
+ * written here: an exact Handle with this manager's tag.  Anything else
+ * goes to the rule itself, which raises the error. */
 static int
 check_owned(ManagerObject *m, PyObject *h)
 {
-    if (IS_HANDLE(h)) {
-        if (((HandleObject *)h)->tag == m->tag)
-            return 0;
-    }
-    else {
-        int tagged = has_attr(h, tag_name);
-        if (tagged > 0)
-            tagged = has_attr(h, uid_name);
-        if (tagged < 0)
-            return -1;
-        if (!tagged) {
-            PyErr_Format(InvalidChild, "not a handle: %R", h);
-            return -1;
-        }
-    }
-    PyErr_SetString(ForeignHandle, "handle belongs to a different manager");
-    return -1;
+    if (IS_HANDLE(h) && ((HandleObject *)h)->tag == m->tag)
+        return 0;
+    PyObject *ok = PyObject_CallFunctionObjArgs(check_owned_rule, m, h, NULL);
+    if (ok == NULL)
+        return -1;
+    Py_DECREF(ok);
+    return 0;
 }
 
 /* Reducing, hash-consing constructor on checked arguments; borrows the
@@ -623,15 +599,17 @@ PyInit__speedups(void)
     for (int i = 0; i < N_OPS; i++)
         if ((op_names[i] = PyUnicode_InternFromString(names[i])) == NULL)
             return NULL;
-    if ((tag_name = PyUnicode_InternFromString("tag")) == NULL
-        || (uid_name = PyUnicode_InternFromString("uid")) == NULL)
-        return NULL;
-    if ((ForeignHandle = import_from("bddhc.core", "ForeignHandle")) == NULL
-        || (InvalidChild = import_from("bddhc.core", "InvalidChild")) == NULL
-        || (OrderViolation = import_from("bddhc.core", "OrderViolation")) == NULL
+    if ((OrderViolation = import_from("bddhc.core", "OrderViolation")) == NULL
         || (VarOutOfRange = import_from("bddhc.core", "VarOutOfRange")) == NULL
         || (check_var = import_from("bddhc.core", "check_var")) == NULL
         || (manager_ids = import_from("bddhc._pykernel", "_manager_ids")) == NULL)
+        return NULL;
+    PyObject *base = import_from("bddhc._pykernel", "ManagerBase");
+    if (base == NULL)
+        return NULL;
+    check_owned_rule = PyObject_GetAttrString(base, "_check_owned");
+    Py_DECREF(base);
+    if (check_owned_rule == NULL)
         return NULL;
     if (PyType_Ready(&HandleType) < 0 || PyType_Ready(&ManagerType) < 0)
         return NULL;

@@ -15,20 +15,22 @@ A store is a small immutable record pointing into an append-only arena:
 * one memo dict per operation; ``_MEMO_TABLES`` lists them.
 
 A store value carries ``count`` (how many arena slots it can see) and
-``next`` (the next fresh id).  An operation on the newest version of an
-arena (the one that sees every slot) extends it in place, O(1); one on
+``next`` (the next fresh id), with ``count >= next - 1``: every version
+sees a prefix of its arena.  The arena itself keeps the ``next`` and
+``max_var`` of its newest version, the one that sees every slot.  An
+operation on the newest version extends the arena in place, O(1); one on
 any older version works on a clone of what that version sees, so earlier
 versions are never disturbed.  Entries added by newer versions have ids
-``>= next`` of every older version and are filtered out of the older
-versions' views, which is what makes sharing sound.
+above the ``count`` of every older version and are filtered out of the
+older versions' views, which is what makes sharing sound.
 
-That visibility rule (a leaf, or an id ``<= count`` or ``< next``) is
-written once, in ``_visible``.  As in the paper's record of finite maps,
-a version hands out its tables as plain dicts: ``Store.graph`` (id ->
-node), ``Store.hmap`` and the four ``Store.memo`` tables each return a
-new dict of the entries whose value and key ids the version sees.
-Cloning, validation and serialization read those dicts; operations
-never apply the rule (see Hot path).
+That visibility rule (a leaf, or an id ``<= count``) is written once, in
+``_visible``.  As in the paper's record of finite maps, a version hands
+out its tables as plain dicts: ``Store.graph`` (id -> node),
+``Store.hmap`` and the four ``Store.memo`` tables each return a new dict
+of the entries whose value and key ids the version sees.  Cloning,
+validation and serialization read those dicts; operations never apply
+the rule (see Hot path).
 
 Code that only reads a finished diagram (size, denotation, the memo
 semantics check, the oracle, model counting, mirroring into a manager)
@@ -47,15 +49,17 @@ arena, under that arena's lock from start to end, when the version is
 the newest; otherwise a private clone of the version.  So an operation on
 an older version pays one copy of that version even when it allocates
 nothing, and a clone it does not extend is dropped with what it memoized.
-The operation advances one private ``_Cursor`` (the arena, ``count``,
-``next`` and ``max_var``) in place, its recursions return refs only, and
-one ``Store`` is built when it returns: the input store itself when
-nothing was allocated.  Nothing in the arena is hidden from the cursor,
-so hash-consing and memo hits need no visibility test and ``_alloc``
-just appends.
+The operation advances that arena in place (its cells, ``next`` and
+``max_var``), its recursions return refs only, and one ``Store`` is built
+when it returns: the input store itself when nothing was allocated.
+Nothing in the arena is hidden from the operation, so hash-consing and
+memo hits need no visibility test and ``_alloc`` just appends.  An
+operation that fails in its input version's own arena puts the arena
+back to that version before the error propagates (``_restore``), so the
+version stays the newest and later operations on it still run in place.
 
 ``mk_node`` is the public, checked constructor, and the recursions run
-the same body, ``_mk``, on their cursor: the variable and child-reference
+the same body, ``_mk``, in their arena: the variable and child-reference
 shape checks, child visibility against ``next``, dangling ids and the
 variable order, each with its own exception and message; ``neg`` and
 ``apply_binop`` check their operands on entry the same way.  The checks
@@ -121,18 +125,19 @@ _BINOP_KEYS = {
 class _Shared:
     """Append-only arena shared by every version of one store lineage.
 
-    Only an operation on the arena's newest version (the one whose
-    ``count`` is ``len(cells)``) writes to it, and it holds ``lock`` from
-    start to end; every other operation runs on a clone (``_operate``).
-    So the newest version sees everything in its arena.  Reads need no
-    lock: slots are never reassigned, and reads of the dict tables go
+    Every version sees a prefix of ``cells``.  The newest version sees all
+    of it: its ``count`` is ``len(cells)``, and ``next`` and ``max_var``
+    here are its own.  Only an operation on the newest version writes to
+    the arena, and it holds ``lock`` from start to end; every other
+    operation runs on a clone (``_operate``).  Reads need no lock: a slot
+    a version sees is never reassigned, and reads of the dict tables go
     through ``dict.copy``, which the GIL makes atomic.  The stats counters
     are instrumentation: they count the work done in this arena.
     """
 
     __slots__ = (
         "cells", "hmap", *(attr for attr, _ in _MEMO_TABLES.values()),
-        "lock", "stats",
+        "next", "max_var", "lock", "stats",
     )
 
     def __init__(self) -> None:
@@ -140,19 +145,23 @@ class _Shared:
         self.hmap: dict[Node, int] = {}
         for attr, _ in _MEMO_TABLES.values():
             setattr(self, attr, {})
+        self.next = 1
+        self.max_var = 0
         self.lock = threading.Lock()
         self.stats = dict.fromkeys(STAT_KEYS, 0)
 
 
-def _visible(ref: NodeRef, count: int, nxt: int) -> bool:
-    """Whether a version with ``count`` slots and next id ``nxt`` sees ``ref``.
+def _visible(ref: NodeRef, count: int) -> bool:
+    """Whether a version that sees ``count`` arena slots sees ``ref``.
 
-    Leaves are always visible.  The code that reads a version applies
-    this rule: its views, and through them the clone, the validator and
-    the serializer.  Operations need no test, because each runs on an
-    arena that holds only what its input version sees (``_operate``).
+    Leaves are always visible.  Every version has ``count >= next - 1``,
+    so this one bound also covers every id below ``next``.  The code that
+    reads a version applies this rule: its views, and through them the
+    clone, the validator and the serializer.  Operations need no test,
+    because each runs on an arena that holds only what its input version
+    sees (``_operate``).
     """
-    return type(ref) is Leaf or ref <= count or ref < nxt
+    return type(ref) is Leaf or ref <= count
 
 
 # one dict per memo table, named by its ``_Shared`` attribute
@@ -206,22 +215,16 @@ def _visible_entries(st: Store, table: dict, arity: int) -> dict:
     ``not``, 2 for the binary memo tables.  One comprehension per arity
     keeps the per-entry cost to the ``_visible`` calls themselves.
     """
-    count, nxt = st.count, st.next
+    count = st.count
     items = table.copy().items()
     if arity == 0:
-        return {k: v for k, v in items if _visible(v, count, nxt)}
+        return {k: v for k, v in items if _visible(v, count)}
     if arity == 1:
-        return {
-            k: v
-            for k, v in items
-            if _visible(v, count, nxt) and _visible(k, count, nxt)
-        }
+        return {k: v for k, v in items if _visible(v, count) and _visible(k, count)}
     return {
         k: v
         for k, v in items
-        if _visible(v, count, nxt)
-        and _visible(k[0], count, nxt)
-        and _visible(k[1], count, nxt)
+        if _visible(v, count) and _visible(k[0], count) and _visible(k[1], count)
     }
 
 
@@ -249,8 +252,9 @@ def store_from_parts(
     build broken stores so ``validate_store`` has something to report.
     When ``hmap`` is omitted the exact inverse of ``graph`` is used; when
     ``next_id`` is omitted, one past the largest id mentioned anywhere.
-    The store's arena holds only what its views show: entries the store
-    cannot see are dropped.
+    The store sees ``max(largest graph id, next_id - 1)`` arena slots, the
+    ones without a graph entry empty, and its arena holds only what its
+    views show: entries the store cannot see are dropped.
     """
     sh = _Shared()
     max_id = max(graph, default=0)
@@ -258,7 +262,8 @@ def store_from_parts(
         hmap = {node: node_id for node_id, node in graph.items()}
     if next_id is None:
         next_id = max([max_id, *hmap.values()]) + 1
-    sh.cells = [None] * max_id
+    count = max(max_id, next_id - 1)
+    sh.cells = [None] * count
     for node_id, node in graph.items():
         if node_id < 1:
             raise BddError(f"graph ids must be positive, got {node_id}")
@@ -269,8 +274,8 @@ def store_from_parts(
     for (attr, _), table in zip(_MEMO_TABLES.values(), memo):
         setattr(sh, attr, dict(table or {}))
     max_var = max((n.var for n in graph.values()), default=0)
-    sh = _clone_shared(Store(sh, max_id, next_id, max_var))
-    return Store(sh, max_id, next_id, max_var)
+    st = Store(sh, count, next_id, max_var)
+    return Store(_clone_shared(st), count, next_id, max_var)
 
 
 def clear_memo(st: Store) -> Store:
@@ -286,12 +291,23 @@ def clear_memo(st: Store) -> Store:
 def _clone_shared(st: Store, copy_memo: bool = True) -> _Shared:
     """Private copy of the prefix of the arena that ``st`` can see."""
     sh = _Shared()
-    sh.cells = st.shared.cells[: st.count]
+    sh.stats = st.shared.stats.copy()
+    return _restore(sh, st, copy_memo)
+
+
+def _restore(sh: _Shared, st: Store, copy_memo: bool = True) -> _Shared:
+    """Make ``st`` the newest version of ``sh``, filling ``sh`` from what
+    ``st`` sees: its tables, then ``next`` and ``max_var``, then the cells.
+
+    The cells go last, so an interrupted restore leaves ``len(sh.cells)``
+    different from ``st.count``, and operations on ``st`` then clone it.
+    """
     sh.hmap = st.hmap
     if copy_memo:
         for attr, table in st.memo._asdict().items():
             setattr(sh, attr, table)
-    sh.stats = st.shared.stats.copy()
+    sh.next, sh.max_var = st.next, st.max_var
+    sh.cells = st.shared.cells[: st.count]
     return sh
 
 
@@ -324,69 +340,52 @@ def default_fuel(st: Store) -> int:
 # Allocation
 
 
-class _Cursor:
-    """The version one top-level operation is building, private to it.
-
-    The operation starts from ``st`` on ``shared``, an arena that holds
-    only what ``st`` sees (``_operate``), and advances ``count``, ``next``
-    and ``max_var`` in place as it allocates; no intermediate version is
-    ever built, because none reaches a caller.  ``done`` makes the one
-    ``Store`` the operation returns.
-    """
-
-    __slots__ = ("st", "shared", "count", "next", "max_var")
-
-    def __init__(self, st: Store, shared: _Shared) -> None:
-        self.st = st
-        self.shared = shared
-        _, self.count, self.next, self.max_var = st
-
-    def done(self, ref: NodeRef) -> tuple[NodeRef, Store]:
-        """``ref`` with the version reached; ``st`` itself if nothing was
-        allocated."""
-        st = self.st
-        if self.next == st.next:
-            return ref, st
-        return ref, Store(self.shared, self.count, self.next, self.max_var)
-
-
 def _operate(st: Store, body, *args) -> tuple[NodeRef, Store]:
-    """``body(cursor, *args)`` with the version it reaches, run on an arena
-    holding only what ``st`` sees: the newest version's own arena, under its
-    lock until the operation ends, or else a private clone of ``st``."""
-    shared = st.shared
+    """``body(arena, *args)`` with the version it reaches, run on an arena
+    whose newest version is ``st``: the arena of ``st``, under its lock
+    until the operation ends, if ``st`` is already its newest version, and
+    otherwise a private clone of ``st``.  An operation that fails in the
+    arena of ``st`` restores it to ``st`` before the error propagates.
+    """
+    sh = st.shared
     # acquire/release, not ``with``, which costs about twice as much per call
     # and shows on jobs made of many small operations
-    lock = shared.lock
+    lock = sh.lock
     lock.acquire()
     try:
-        if len(shared.cells) == st.count:
-            cur = _Cursor(st, shared)
-            return cur.done(body(cur, *args))
+        if len(sh.cells) == st.count:
+            try:
+                return body(sh, *args), _reached(st, sh)
+            except BaseException:
+                _restore(sh, st)
+                raise
     finally:
         lock.release()
-    cur = _Cursor(st, _clone_shared(st))
-    return cur.done(body(cur, *args))
+    sh = _clone_shared(st)
+    return body(sh, *args), _reached(st, sh)
 
 
-def _alloc(cur: _Cursor, node: Node) -> int:
-    """Append ``node`` with the fresh id ``cur.next`` and advance ``cur``."""
-    node_id, count = cur.next, cur.count
-    if node_id <= count:
+def _reached(st: Store, sh: _Shared) -> Store:
+    """The newest version of ``sh`` after an operation on ``st``: ``st``
+    itself if nothing was allocated."""
+    if sh.next == st.next:
+        return st
+    return Store(sh, len(sh.cells), sh.next, sh.max_var)
+
+
+def _alloc(sh: _Shared, node: Node) -> int:
+    """Append ``node`` with the fresh id ``sh.next`` and advance the arena."""
+    node_id, cells = sh.next, sh.cells
+    if node_id <= len(cells):
         raise BddError(
             "store next counter is not past its allocated ids; "
             "refusing to allocate (run validate_store)"
         )
-    sh = cur.shared
-    cells = sh.cells
-    if node_id - 1 > count:
-        cells.extend([None] * (node_id - 1 - count))
     cells.append(node)
     sh.hmap[node] = node_id
-    cur.count = node_id
-    cur.next = node_id + 1
-    if node.var > cur.max_var:
-        cur.max_var = node.var
+    sh.next = node_id + 1
+    if node.var > sh.max_var:
+        sh.max_var = node.var
     return node_id
 
 
@@ -405,12 +404,11 @@ def mk_node(st: Store, low: NodeRef, var: int, high: NodeRef) -> tuple[NodeRef, 
     return _operate(st, _mk, low, var, high)
 
 
-def _mk(cur: _Cursor, low: NodeRef, var: int, high: NodeRef) -> NodeRef:
-    """``mk_node`` on a cursor: every check, then a hit or an allocation."""
+def _mk(sh: _Shared, low: NodeRef, var: int, high: NodeRef) -> NodeRef:
+    """``mk_node`` in an arena: every check, then a hit or an allocation."""
     if type(var) is not int or var < 1:
         check_var(var)
-    shared, count, nxt = cur.shared, cur.count, cur.next
-    cells = shared.cells
+    nxt, cells = sh.next, sh.cells
     for child in (low, high):
         if type(child) is not int:
             if type(child) is Leaf:  # an enum with members has no subclasses
@@ -421,7 +419,7 @@ def _mk(cur: _Cursor, low: NodeRef, var: int, high: NodeRef) -> NodeRef:
             raise InvalidChild(f"not a node reference: {child!r}")
         if child >= nxt:
             raise InvalidChild(f"child id {child} is not valid here (next={nxt})")
-        node = cells[child - 1] if child <= count else None
+        node = cells[child - 1]
         if node is None:
             raise DanglingRef(f"child id {child} has no graph entry")
         if node.var <= var:
@@ -431,12 +429,12 @@ def _mk(cur: _Cursor, low: NodeRef, var: int, high: NodeRef) -> NodeRef:
     if low == high:
         return low
     # a plain tuple hashes and compares like the ``Node`` it would become
-    node_id = shared.hmap.get((low, var, high))
+    node_id = sh.hmap.get((low, var, high))
     if node_id is not None:
-        shared.stats["intern_hits"] += 1
+        sh.stats["intern_hits"] += 1
         return node_id
-    shared.stats["intern_misses"] += 1
-    return _alloc(cur, Node(low, var, high))
+    sh.stats["intern_misses"] += 1
+    return _alloc(sh, Node(low, var, high))
 
 
 def denote(st: Store, ref: NodeRef, assignment: Assignment) -> bool:
@@ -473,27 +471,27 @@ def neg(st: Store, ref: NodeRef) -> tuple[NodeRef, Store]:
     return _operate(st, _neg_rec, ref, default_fuel(st))
 
 
-def _neg_rec(cur: _Cursor, ref: NodeRef, fuel: int) -> NodeRef:
+def _neg_rec(sh: _Shared, ref: NodeRef, fuel: int) -> NodeRef:
     if fuel <= 0:
         raise OutOfFuel("negation ran out of fuel")
     if ref is LEAF_TRUE:
         return LEAF_FALSE
     if ref is LEAF_FALSE:
         return LEAF_TRUE
-    shared, count = cur.shared, cur.count
-    hit = shared.mneg.get(ref)
+    hit = sh.mneg.get(ref)
     if hit is not None:
-        shared.stats["not_hits"] += 1
+        sh.stats["not_hits"] += 1
         return hit
-    shared.stats["not_misses"] += 1
-    node = shared.cells[ref - 1] if 1 <= ref <= count else None
+    sh.stats["not_misses"] += 1
+    cells = sh.cells
+    node = cells[ref - 1] if 1 <= ref <= len(cells) else None
     if node is None:
         raise DanglingRef(f"node id {ref} has no graph entry")
     low, var, high = node
-    low = _neg_rec(cur, low, fuel - 1)
-    high = _neg_rec(cur, high, fuel - 1)
-    result = _mk(cur, low, var, high)
-    shared.mneg[ref] = result
+    low = _neg_rec(sh, low, fuel - 1)
+    high = _neg_rec(sh, high, fuel - 1)
+    result = _mk(sh, low, var, high)
+    sh.mneg[ref] = result
     return result
 
 
@@ -511,7 +509,7 @@ def apply_binop(st: Store, op: str, a: NodeRef, b: NodeRef) -> tuple[NodeRef, St
     return _operate(st, _apply_rec, op, a, b, default_fuel(st))
 
 
-def _apply_rec(cur: _Cursor, op: str, a: NodeRef, b: NodeRef, fuel: int) -> NodeRef:
+def _apply_rec(sh: _Shared, op: str, a: NodeRef, b: NodeRef, fuel: int) -> NodeRef:
     if fuel <= 0:
         raise OutOfFuel(f"{op} ran out of fuel")
     if a == b:
@@ -537,19 +535,19 @@ def _apply_rec(cur: _Cursor, op: str, a: NodeRef, b: NodeRef, fuel: int) -> Node
             return a
         # xor against true is negation; mneg carries the memoization
         if a is LEAF_TRUE:
-            return _neg_rec(cur, b, fuel)
+            return _neg_rec(sh, b, fuel)
         if b is LEAF_TRUE:
-            return _neg_rec(cur, a, fuel)
+            return _neg_rec(sh, a, fuel)
     table, hits, misses = _BINOP_KEYS[op]
-    shared, count = cur.shared, cur.count
     key = (a, b)
-    memo = getattr(shared, table)
+    memo = getattr(sh, table)
     hit = memo.get(key)
     if hit is not None:
-        shared.stats[hits] += 1
+        sh.stats[hits] += 1
         return hit
-    shared.stats[misses] += 1
-    cells = shared.cells
+    sh.stats[misses] += 1
+    cells = sh.cells
+    count = len(cells)
     node_a = cells[a - 1] if 1 <= a <= count else None
     if node_a is None:
         raise DanglingRef(f"node id {a} has no graph entry")
@@ -563,9 +561,9 @@ def _apply_rec(cur: _Cursor, op: str, a: NodeRef, b: NodeRef, fuel: int) -> Node
     elif var_b < var:
         var = var_b
         a_low = a_high = a
-    low = _apply_rec(cur, op, a_low, b_low, fuel - 1)
-    high = _apply_rec(cur, op, a_high, b_high, fuel - 1)
-    result = _mk(cur, low, var, high)
+    low = _apply_rec(sh, op, a_low, b_low, fuel - 1)
+    high = _apply_rec(sh, op, a_high, b_high, fuel - 1)
+    result = _mk(sh, low, var, high)
     memo[key] = result
     return result
 
@@ -752,8 +750,9 @@ def store_from_text(text: str) -> Store:
         for lineno, raw in enumerate(lines[2:], start=3)
         if raw.strip()
     ]
-    # ids are dense in every file ``store_to_text`` writes, so this bounds
-    # the arena ``store_from_parts`` allocates by the size of the file
+    # a file ``store_to_text`` writes of a store made by operations (dense
+    # ids) or by this loader passes this bound, and it bounds the arena
+    # ``store_from_parts`` allocates by the size of the file
     bound = len(records) + 1
     graph: dict[int, Node] = {}
     for lineno, fields in records:

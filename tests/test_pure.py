@@ -354,6 +354,49 @@ def test_failed_operation_leaves_its_input_version_intact(case):
         assert pure.node_count(st) == len(graph)
 
 
+@pytest.mark.parametrize("case", sorted(_FAILING_OPERATIONS))
+def test_failed_operation_keeps_its_input_version_the_newest(case):
+    graph, run, exc, _ = _FAILING_OPERATIONS[case]
+    st = pure.store_from_parts(graph)
+    with pytest.raises(exc):
+        run(st)
+    assert len(st.shared.cells) == st.count
+    # node 1 is (F, x3, T) in every case, so its negation allocates
+    ref, st2 = pure.neg(st, 1)
+    assert ref == st.next
+    assert st2.shared is st.shared
+
+
+def test_alloc_refuses_when_next_is_not_past_the_graph():
+    st = pure.store_from_parts(
+        {1: Node(LEAF_FALSE, 1, LEAF_TRUE), 2: Node(LEAF_FALSE, 2, LEAF_TRUE)},
+        next_id=2,
+    )
+    text = pure.store_to_text(st)
+    with pytest.raises(BddError) as info:
+        pure.mk_node(st, LEAF_FALSE, 3, LEAF_TRUE)
+    assert str(info.value) == (
+        "store next counter is not past its allocated ids; "
+        "refusing to allocate (run validate_store)"
+    )
+    assert pure.store_to_text(st) == text
+
+
+def test_alloc_past_a_gap_below_next():
+    # ids 2 and 3 are never allocated; no text round trip, because the
+    # loader rejects ids above the record count + 1
+    st = pure.store_from_parts({1: Node(LEAF_FALSE, 2, LEAF_TRUE)}, next_id=4)
+    ref, st = pure.mk_node(st, LEAF_FALSE, 1, 1)
+    assert ref == 4
+    assert set(st.graph) == {1, 4}
+    assert pure.node_count(st) == 2
+    assert pure.validate_store(st).ok
+    assert pure.denote(st, 4, {1: True, 2: True}) is True
+    assert pure.denote(st, 4, {1: False}) is False
+    assert pure.denote(st, 4, {1: True, 2: False}) is False
+    assert pure.mk_node(st, LEAF_FALSE, 3, LEAF_TRUE)[0] == 5
+
+
 def test_operation_that_allocates_nothing_returns_its_input_store():
     st = pure.empty_store()
     a, st = frontend.compile_pure(frontend.parse("x1 | x3"), st)
