@@ -84,11 +84,12 @@ class _Compiled(NamedTuple):
     kernel: str
     seconds: float  # wall time of the compilation alone
     validate: Callable[[], ValidationReport]
-    truth_table: Callable[[object, int], oracle.TruthTable]  # (root, n)
 
 
 def _compile(backend, formulas, kernel="auto") -> _Compiled:
-    """The only code of the tool that branches on the backend.
+    """The one place the tool picks a backend's code, apart from
+    :func:`count_models`, whose ``store=`` form is kept for the benchmark
+    harness in ``perfbench/``.
 
     ``kernel`` picks the interned kernel; the pure backend ignores it.
     """
@@ -103,14 +104,13 @@ def _compile(backend, formulas, kernel="auto") -> _Compiled:
         return _Compiled(
             roots, pure.expander(st), pure.store_stats(st), pure.node_count(st),
             "python", seconds, partial(pure.validate_store, st),
-            partial(oracle.bdd_truth_table, store=st),
         )
     m = interned.new_manager(kernel)
     roots = [frontend.compile_interned(f, m) for f in formulas]
     seconds = time.perf_counter() - start
     return _Compiled(
         roots, interned.expand, m.stats(), m.pool_size() - 2, m.IMPL, seconds,
-        partial(interned.validate_manager, m), oracle.bdd_truth_table,
+        partial(interned.validate_manager, m),
     )
 
 
@@ -318,10 +318,7 @@ def _shrink(failing: Callable[[Formula], bool], f: Formula) -> Formula:
 
 
 def run_selftest(
-    seed: int = 0,
-    cases: int = 300,
-    max_vars: int = 6,
-    echo: Callable[[str], None] = print,
+    seed: int = 0, cases: int = 300, max_vars: int = 6
 ) -> tuple[bool, Optional[str]]:
     """Randomized cross-backend oracle suite plus validator sweeps.
 
@@ -336,7 +333,7 @@ def run_selftest(
         want = oracle.formula_truth_table(f, n)
         for backend in BACKENDS:
             c = _compile(backend, [f])
-            got = c.truth_table(c.roots[0], n)
+            got = oracle.bdd_truth_table(c.roots[0], n, c.expand)
             if not oracle.tables_equal(got, want) or not c.validate().ok:
                 return True
         return False
@@ -356,8 +353,8 @@ def run_selftest(
         f = frontend.random_formula(rng, max_var=max_vars, max_depth=8)
         if case_fails(f):
             small = _shrink(case_fails, f)
-            echo(f"selftest: FAIL case {i}: oracle mismatch")
-            echo(f"selftest: witness: {frontend.format_formula(small)}")
+            print(f"selftest: FAIL case {i}: oracle mismatch")
+            print(f"selftest: witness: {frontend.format_formula(small)}")
             return False, frontend.format_formula(small)
         if rng.random() < 0.5:
             g = frontend.random_equivalent(rng, f)
@@ -366,14 +363,14 @@ def run_selftest(
         if pair_fails((f, g)):
             small_g = _shrink(lambda x: pair_fails((f, x)), g)
             small_f = _shrink(lambda x: pair_fails((x, small_g)), f)
-            echo(f"selftest: FAIL case {i}: canonicity mismatch")
-            echo(
+            print(f"selftest: FAIL case {i}: canonicity mismatch")
+            print(
                 "selftest: witness pair: "
                 f"{frontend.format_formula(small_f)}  vs  "
                 f"{frontend.format_formula(small_g)}"
             )
             return False, frontend.format_formula(small_f)
-    echo(f"selftest: {cases} cases passed (seed={seed})")
+    print(f"selftest: {cases} cases passed (seed={seed})")
     return True, None
 
 

@@ -9,14 +9,16 @@ which both kernels' manager classes inherit.  :func:`new_manager` uses
 the C kernel when it is built, and ``kernel=`` picks one explicitly.
 
 This module also hosts what does not need to be fast: validation, DOT
-export, and :func:`expand`, through which :mod:`bddhc.graph` reads the
-handles of either kernel.  Reachability, size, rebuilding, mirroring a
-pure store and the cache-semantics check are folds over that one walk.
+export, and :func:`expand`, the one function through which
+:mod:`bddhc.graph` reads the handles of either kernel.  Every read of a
+finished diagram (size, model counting, copying into a manager, the
+oracle's paths, the cache-semantics check) is a :mod:`bddhc.graph`
+function called with ``expand``; this module writes none of its own.
 """
 from __future__ import annotations
 
 from .core import BINOPS, ForeignHandle, ValidationReport
-from . import _pykernel, graph, pure
+from . import _pykernel, graph
 
 # name -> manager class of each built kernel
 _KERNELS = {"python": _pykernel.Manager}
@@ -59,7 +61,7 @@ def structural_eq(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Inspection helpers (kernel-independent: they only read handle fields)
+# The graph view (kernel-independent: it only reads handle fields)
 
 
 def expand(h) -> tuple:
@@ -67,34 +69,6 @@ def expand(h) -> tuple:
     if h.terminal >= 0:
         return h.terminal == 1, None, None, None
     return None, h.var, h.low, h.high
-
-
-def reachable(root) -> list:
-    """Handles reachable from ``root``, sorted by uid.
-
-    Construction hands out child uids before parent uids, so this order
-    is topological: every node's children appear earlier in the list.
-    """
-    return sorted((h for h, _ in graph.walk(root, expand)), key=lambda h: h.uid)
-
-
-def bdd_size(root) -> int:
-    """Distinct nodes reachable from ``root``, leaves included."""
-    return graph.size(root, expand)
-
-
-def rebuild(m, root):
-    """Reconstruct ``root`` bottom-up through ``m``'s constructors.
-
-    Rebuilding into the owning manager must return the identical uids;
-    rebuilding into a fresh manager copies the BDD across.
-    """
-    return graph.copy(root, expand, m)
-
-
-def import_pure(m, store, ref):
-    """Mirror a pure-backend BDD into manager ``m``, preserving structure."""
-    return graph.copy(ref, pure.expander(store), m)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +169,9 @@ def to_dot(root) -> str:
     appear exactly once, children before parents.
     """
     lines = ["digraph bdd {"]
-    for h in reachable(root):
+    # construction hands out child uids before parent uids, so uid order is
+    # topological: every node's children come before it
+    for h in sorted((h for h, _ in graph.walk(root, expand)), key=lambda h: h.uid):
         if h.terminal >= 0:
             label = "T" if h.terminal == 1 else "F"
             lines.append(f'  n{h.uid} [label="{label}", shape=box];')

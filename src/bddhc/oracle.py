@@ -1,10 +1,12 @@
 """Brute-force truth tables, the ground truth the fast paths are tested against.
 
 Everything here works by enumerating assignments and evaluating one at a
-time; it never touches a backend's node constructors or apply machinery.
-A compiled BDD is read through each backend's :mod:`bddhc.graph`
-``expand`` function, the same read-only view every other walk uses.
-Slow and obviously correct is the point.
+time.  This module imports no backend, so it cannot call a node
+constructor or an operation of the code it judges: a compiled BDD is read
+through the ``expand`` function its caller passes in
+(``pure.expander(store)`` or ``interned.expand``), the same read-only
+:mod:`bddhc.graph` view every other walk uses.  Slow and obviously
+correct is the point.
 
 Bit order: table index ``k`` encodes the assignment in which variable
 ``x(i+1)`` takes bit ``i`` of ``k`` (little-endian in the variable
@@ -15,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
-from . import graph, interned, pure
+from . import graph
 from .core import (
     ArityMismatch,
     Formula,
@@ -79,16 +82,15 @@ def formula_truth_table(f: Formula, n: int) -> TruthTable:
     return TruthTable(n, bits)
 
 
-def bdd_truth_table(root, n: int, store=None) -> TruthTable:
+def bdd_truth_table(root, n: int, expand: Callable) -> TruthTable:
     """Evaluate a compiled BDD under every assignment, one path at a time.
 
-    ``root`` is either a pure-backend node reference together with its
-    ``store``, or an interned-backend handle (``store`` omitted).  The
-    paths are followed by :func:`bddhc.graph.follow`, which only reads
-    the graph: no constructor or operation of either backend runs.
+    ``expand`` is the :mod:`bddhc.graph` view of the graph that holds
+    ``root``: ``pure.expander(store)`` or ``interned.expand``.  The paths
+    are followed by :func:`bddhc.graph.follow`, which only reads the
+    graph: no constructor or operation of either backend runs.
     """
     _check_n(n)
-    expand = interned.expand if store is None else pure.expander(store)
     bits = 0
     for k in range(1 << n):
         if graph.follow(root, expand, partial(_branch, k, n)):

@@ -20,9 +20,15 @@ sees a prefix of its arena.  The arena itself keeps the ``next`` and
 ``max_var`` of its newest version, the one that sees every slot.  An
 operation on the newest version extends the arena in place, O(1); one on
 any older version works on a clone of what that version sees, so earlier
-versions are never disturbed.  Entries added by newer versions have ids
-above the ``count`` of every older version and are filtered out of the
-older versions' views, which is what makes sharing sound.
+versions are never disturbed.  Nodes and hash-consing entries added by
+newer versions have ids above the ``count`` of every older version and
+are filtered out of the older versions' views, which is what makes
+sharing sound.  The memo tables are a cache shared across the arena's
+versions: an older version's view shows any entry over ids it sees,
+including one a newer version computed.  Results cannot differ, since a
+memo entry over visible ids holds the one canonical answer (a leaf or a
+visible id); only the hit/miss counters of an operation on an older
+version depend on what newer versions computed.
 
 That visibility rule (a leaf, or an id ``<= count``) is written once, in
 ``_visible``.  As in the paper's record of finite maps, a version hands
@@ -34,8 +40,9 @@ the rule (see Hot path).
 
 Code that only reads a finished diagram (size, denotation, the memo
 semantics check, the oracle, model counting, mirroring into a manager)
-lives in :mod:`bddhc.graph`; :func:`expander` gives it this version's
-nodes straight from the arena.
+is a :mod:`bddhc.graph` function, called with :func:`expander`, which
+gives it this version's nodes straight from the arena; this module writes
+none of its own.
 
 Hot path
 ========
@@ -97,7 +104,6 @@ from .core import (
     BINOPS,
     LEAF_FALSE,
     LEAF_TRUE,
-    Assignment,
     BddError,
     DanglingRef,
     InvalidChild,
@@ -437,14 +443,6 @@ def _mk(sh: _Shared, low: NodeRef, var: int, high: NodeRef) -> NodeRef:
     return _alloc(sh, Node(low, var, high))
 
 
-def denote(st: Store, ref: NodeRef, assignment: Assignment) -> bool:
-    """Evaluate ``ref`` under one assignment by following branches.
-
-    The assignment must cover every variable on the followed path.
-    """
-    return graph.follow(ref, expander(st), assignment.__getitem__)
-
-
 def eq(a: NodeRef, b: NodeRef) -> bool:
     """Decidable equality of node references (leaf tags or ids).
 
@@ -566,11 +564,6 @@ def _apply_rec(sh: _Shared, op: str, a: NodeRef, b: NodeRef, fuel: int) -> NodeR
     result = _mk(sh, low, var, high)
     memo[key] = result
     return result
-
-
-def size(st: Store, ref: NodeRef) -> int:
-    """Distinct nodes reachable from ``ref``, leaves included."""
-    return graph.size(ref, expander(st))
 
 
 def expander(st: Store):

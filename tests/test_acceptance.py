@@ -21,7 +21,7 @@ from bddhc.core import (
     Ref,
     Xor,
 )
-from bddhc import cli, frontend, interned, oracle, pure
+from bddhc import cli, frontend, graph, interned, oracle, pure
 
 from util import gen_trace, play_interned, play_pure
 
@@ -45,7 +45,7 @@ def _compile_pure_instrumented(f, st, violations):
         return pure.mk_node(st, LEAF_FALSE, f.var, LEAF_TRUE)
     if isinstance(f, Not):
         a, st = _compile_pure_instrumented(f.arg, st, violations)
-        sa = pure.size(st, a)
+        sa = graph.size(a, pure.expander(st))
         before = st.shared.stats["not_misses"]
         r, st = pure.neg(st, a)
         if st.shared.stats["not_misses"] - before > sa:
@@ -54,7 +54,7 @@ def _compile_pure_instrumented(f, st, violations):
     op = {And: "and", Or: "or", Xor: "xor"}[type(f)]
     a, st = _compile_pure_instrumented(f.left, st, violations)
     b, st = _compile_pure_instrumented(f.right, st, violations)
-    sa, sb = pure.size(st, a), pure.size(st, b)
+    sa, sb = graph.size(a, pure.expander(st)), graph.size(b, pure.expander(st))
     before = st.shared.stats[f"{op}_misses"]
     r, st = pure.apply_binop(st, op, a, b)
     if st.shared.stats[f"{op}_misses"] - before > sa * sb:
@@ -69,7 +69,7 @@ def _compile_interned_instrumented(f, m, violations):
         return m.node(f.var, m.false, m.true)
     if isinstance(f, Not):
         a = _compile_interned_instrumented(f.arg, m, violations)
-        sa = interned.bdd_size(a)
+        sa = graph.size(a, interned.expand)
         before = m.not_misses
         r = m.neg(a)
         if m.not_misses - before > sa:
@@ -78,7 +78,7 @@ def _compile_interned_instrumented(f, m, violations):
     op = {And: "and", Or: "or", Xor: "xor"}[type(f)]
     a = _compile_interned_instrumented(f.left, m, violations)
     b = _compile_interned_instrumented(f.right, m, violations)
-    sa, sb = interned.bdd_size(a), interned.bdd_size(b)
+    sa, sb = graph.size(a, interned.expand), graph.size(b, interned.expand)
     before = m.stats()[f"{op}_misses"]
     r = m.apply_binop(op, a, b)
     if m.stats()[f"{op}_misses"] - before > sa * sb:
@@ -101,12 +101,12 @@ def oracle_suite():
         st = pure.empty_store()
         ref, st = _compile_pure_instrumented(f, st, violations)
         if not oracle.tables_equal(
-            oracle.bdd_truth_table(ref, n, store=st), want
+            oracle.bdd_truth_table(ref, n, pure.expander(st)), want
         ):
             mismatches.append(("pure", f))
         m = interned.new_manager()
         h = _compile_interned_instrumented(f, m, violations)
-        if not oracle.tables_equal(oracle.bdd_truth_table(h, n), want):
+        if not oracle.tables_equal(oracle.bdd_truth_table(h, n, interned.expand), want):
             mismatches.append(("interned", f))
     elapsed = time.perf_counter() - start
     return SimpleNamespace(
@@ -216,7 +216,7 @@ def test_wellformedness_preservation_traces():
             for ref_id in old_ids[:: max(1, len(old_ids) // 3)][:3]:
                 for _ in range(2):
                     a = {v: rng.random() < 0.5 for v in range(1, 5)}
-                    if pure.denote(pre, ref_id, a) != pure.denote(post, ref_id, a):
+                    if graph.follow(ref_id, pure.expander(pre), a.__getitem__) != graph.follow(ref_id, pure.expander(post), a.__getitem__):
                         failures.append((t, f"denotation of {ref_id} changed"))
                         return
 
@@ -256,7 +256,7 @@ def test_maximal_sharing_traces():
             shapes.add(s)
         pool_before = m.pool_size()
         for h in handles:
-            if interned.rebuild(m, h).uid != h.uid:
+            if graph.copy(h, interned.expand, m).uid != h.uid:
                 failures.append((t, f"rebuild changed uid {h.uid}"))
         if m.pool_size() != pool_before:
             failures.append((t, "rebuild grew the pool"))
@@ -313,7 +313,7 @@ def test_worked_example_single_node():
     ok_pure = (
         root == low_half
         and st.graph[root] == Node(LEAF_TRUE, 2, LEAF_FALSE)
-        and pure.size(st, root) == 3
+        and graph.size(root, pure.expander(st)) == 3
         and len(st.graph) == 1
     )
 

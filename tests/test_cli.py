@@ -325,6 +325,13 @@ def test_readme_commands_parse():
         parser.parse_args(argv)
 
 
+def test_readme_quick_tour_runs():
+    # the ``python`` block under "## Library quick tour", run as written
+    section = README.read_text(encoding="utf-8").split("## Library quick tour\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```\n", 1)[0]
+    exec(compile(code, "README.md quick tour", "exec"), {})
+
+
 def test_readme_documents_every_option():
     # a switch the README does not name is a switch only the tests should use
     readme = README.read_text(encoding="utf-8")
@@ -481,11 +488,12 @@ def test_selftest_counts_must_be_positive(option, value, capsys):
     assert f"argument {option}: must be at least 1, got {value}" in captured.err
 
 
-def test_selftest_witness_is_parseable(monkeypatch):
+def test_selftest_witness_is_parseable(monkeypatch, capsys):
     _unreduced_interned(monkeypatch)
-    ok, witness = cli.run_selftest(seed=2, cases=40, echo=lambda s: None)
+    ok, witness = cli.run_selftest(seed=2, cases=40)
     assert not ok
     frontend.parse(witness)
+    assert f"selftest: witness: {witness}\n" in capsys.readouterr().out
 
 
 def test_selftest_reports_canonicity_mismatch(monkeypatch, capsys):

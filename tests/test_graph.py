@@ -40,7 +40,7 @@ def test_walk_visits_shared_nodes_once(manager):
     f = frontend.queens_formula(4)
     h = frontend.compile_interned(f, manager)
     refs = [ref for ref, _ in graph.walk(h, interned.expand)]
-    assert len(refs) == len(set(refs)) == interned.bdd_size(h)
+    assert len(refs) == len(set(refs)) == graph.size(h, interned.expand)
     position = {ref: i for i, ref in enumerate(refs)}
     for ref in refs:
         if ref.terminal < 0:
@@ -67,25 +67,25 @@ def test_backends_give_the_same_graph_views(manager):
 
 def test_cyclic_store_truth_table_raises():
     with pytest.raises(BddError, match="cycle"):
-        oracle.bdd_truth_table(1, 2, store=_looped())
+        oracle.bdd_truth_table(1, 2, pure.expander(_looped()))
 
 
 def test_cyclic_store_import_raises(manager):
     with pytest.raises(BddError, match="cycle"):
-        interned.import_pure(manager, _looped(), 1)
+        graph.copy(1, pure.expander(_looped()), manager)
 
 
 def test_cyclic_store_size_raises():
     with pytest.raises(BddError, match="cycle"):
-        pure.size(_looped(), 1)
+        graph.size(1, pure.expander(_looped()))
 
 
 def test_dangling_child_is_a_typed_error(manager):
     broken = pure.store_from_parts({1: Node(LEAF_FALSE, 1, 7)}, next_id=8)
     with pytest.raises(DanglingRef, match="^node id 7 has no graph entry$"):
-        interned.import_pure(manager, broken, 1)
+        graph.copy(1, pure.expander(broken), manager)
     with pytest.raises(DanglingRef):
-        oracle.bdd_truth_table(1, 1, store=broken)
+        oracle.bdd_truth_table(1, 1, pure.expander(broken))
 
 
 # -- deep diagrams -------------------------------------------------------------
@@ -93,25 +93,25 @@ def test_dangling_child_is_a_typed_error(manager):
 
 def test_deep_chain_survives_import_and_rebuild(kernel):
     ref, st = _pure_chain(CHAIN_VARS)
-    imported = interned.import_pure(interned.new_manager(kernel), st, ref)
-    copied = interned.rebuild(interned.new_manager(kernel), imported)
+    imported = graph.copy(ref, pure.expander(st), interned.new_manager(kernel))
+    copied = graph.copy(imported, interned.expand, interned.new_manager(kernel))
     for h in (imported, copied):
-        assert interned.bdd_size(h) == CHAIN_VARS + 2
+        assert graph.size(h, interned.expand) == CHAIN_VARS + 2
         assert count_models(h, CHAIN_VARS) == 1
-    assert pure.size(st, ref) == CHAIN_VARS + 2
+    assert graph.size(ref, pure.expander(st)) == CHAIN_VARS + 2
 
 
 def test_copy_into_fresh_manager_numbers_uids_like_construction(kernel):
     f = frontend.queens_formula(4)
     m1 = interned.new_manager(kernel)
     h1 = frontend.compile_interned(f, m1)
-    copied = interned.rebuild(interned.new_manager(kernel), h1)
+    copied = graph.copy(h1, interned.expand, interned.new_manager(kernel))
     st = pure.empty_store()
     ref, st = frontend.compile_pure(f, st)
-    mirrored = interned.import_pure(interned.new_manager(kernel), st, ref)
-    assert [h.uid for h in interned.reachable(copied)] == [
-        h.uid for h in interned.reachable(mirrored)
-    ]
+    mirrored = graph.copy(ref, pure.expander(st), interned.new_manager(kernel))
+    assert sorted(h.uid for h, _ in graph.walk(copied, interned.expand)) == sorted(
+        h.uid for h, _ in graph.walk(mirrored, interned.expand)
+    )
     assert interned.to_dot(copied) == interned.to_dot(mirrored)
 
 

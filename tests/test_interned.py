@@ -21,7 +21,7 @@ from bddhc.core import (
     VarOutOfRange,
 )
 import bddhc
-from bddhc import frontend, interned, oracle, pure
+from bddhc import frontend, graph, interned, oracle, pure
 from bddhc._pykernel import Handle as PyHandle, Manager as PyManager
 
 from util import UnreducedManager, gen_trace, play_interned, play_pure
@@ -258,7 +258,7 @@ def test_double_negation_gives_same_uid(manager):
 def test_neg_miss_count_bounded_by_inner_size(manager):
     f = frontend.parse("(x1 & x2) | (x3 ^ x4) | !x5")
     h = frontend.compile_interned(f, manager)
-    inner = sum(1 for x in interned.reachable(h) if x.terminal < 0)
+    inner = sum(1 for x, _ in graph.walk(h, interned.expand) if x.terminal < 0)
     before = manager.stats()["not_misses"]
     manager.neg(h)
     assert manager.stats()["not_misses"] - before <= inner
@@ -314,8 +314,8 @@ def test_binop_miss_count_bounded(manager):
         a = frontend.compile_interned(f, manager)
         b = frontend.compile_interned(g, manager)
         op = rng.choice(("and", "or", "xor"))
-        sa = interned.bdd_size(a)
-        sb = interned.bdd_size(b)
+        sa = graph.size(a, interned.expand)
+        sb = graph.size(b, interned.expand)
         before = manager.stats()[f"{op}_misses"]
         manager.apply_binop(op, a, b)
         assert manager.stats()[f"{op}_misses"] - before <= sa * sb
@@ -334,7 +334,8 @@ def test_uid_order_is_topological(manager):
     f = frontend.parse("(x1 ^ x2) & (x2 | !x3)")
     h = frontend.compile_interned(f, manager)
     seen = set()
-    for node in interned.reachable(h):
+    nodes = sorted((x for x, _ in graph.walk(h, interned.expand)), key=lambda x: x.uid)
+    for node in nodes:
         if node.terminal < 0:
             assert node.low.uid in seen
             assert node.high.uid in seen
@@ -394,7 +395,7 @@ def test_rebuild_reuses_identical_uids(manager):
     handles = play_interned(manager, ops)
     pool_before = manager.pool_size()
     for h in handles:
-        assert interned.rebuild(manager, h).uid == h.uid
+        assert graph.copy(h, interned.expand, manager).uid == h.uid
     assert manager.pool_size() == pool_before
 
 
@@ -413,9 +414,10 @@ def test_rebuild_into_fresh_manager(kernel):
     f = frontend.parse("x1 ^ (x2 & !x3)")
     h1 = frontend.compile_interned(f, m1)
     m2 = interned.new_manager(kernel)
-    h2 = interned.rebuild(m2, h1)
+    h2 = graph.copy(h1, interned.expand, m2)
     assert oracle.tables_equal(
-        oracle.bdd_truth_table(h1, 3), oracle.bdd_truth_table(h2, 3)
+        oracle.bdd_truth_table(h1, 3, interned.expand),
+        oracle.bdd_truth_table(h2, 3, interned.expand),
     )
 
 
@@ -546,7 +548,7 @@ def test_import_pure_matches_interned_compile(manager):
     f = frontend.parse("(x1 | x2) ^ !x3")
     st = pure.empty_store()
     ref, st = frontend.compile_pure(f, st)
-    mirrored = interned.import_pure(manager, st, ref)
+    mirrored = graph.copy(ref, pure.expander(st), manager)
     direct = frontend.compile_interned(f, manager)
     assert manager.structural_eq(mirrored, direct)
 

@@ -56,27 +56,27 @@ def test_formula_var_out_of_range():
 
 def test_bdd_table_of_leaf():
     st0 = pure.empty_store()
-    tt = oracle.bdd_truth_table(LEAF_FALSE, 2, store=st0)
+    tt = oracle.bdd_truth_table(LEAF_FALSE, 2, pure.expander(st0))
     assert tt.bits == 0 and tt.n == 2
 
 
 def test_bdd_table_of_single_node():
     st0 = pure.empty_store()
     ref, st1 = pure.mk_node(st0, LEAF_TRUE, 2, LEAF_FALSE)
-    got = oracle.bdd_truth_table(ref, 2, store=st1)
+    got = oracle.bdd_truth_table(ref, 2, pure.expander(st1))
     want = oracle.formula_truth_table(Not(Ref(2)), 2)
     assert oracle.tables_equal(got, want)
 
 
 def test_bdd_table_of_handle(manager):
     h = manager.node(2, manager.true, manager.false)
-    got = oracle.bdd_truth_table(h, 2)
+    got = oracle.bdd_truth_table(h, 2, interned.expand)
     assert oracle.tables_equal(got, oracle.formula_truth_table(Not(Ref(2)), 2))
 
 
 def test_bdd_table_ascending_chain():
     st = ascending_chain_store()
-    tt = oracle.bdd_truth_table(1, 3, store=st)
+    tt = oracle.bdd_truth_table(1, 3, pure.expander(st))
     # only the all-ones path reaches T
     assert tt.bits == 1 << 7
 
@@ -132,7 +132,7 @@ def test_compiled_bdds_match_formula_tables(f):
     want = oracle.formula_truth_table(f, n)
     st0 = pure.empty_store()
     ref, st1 = frontend.compile_pure(f, st0)
-    assert oracle.tables_equal(oracle.bdd_truth_table(ref, n, store=st1), want)
+    assert oracle.tables_equal(oracle.bdd_truth_table(ref, n, pure.expander(st1)), want)
     m = interned.new_manager()
     h = frontend.compile_interned(f, m)
-    assert oracle.tables_equal(oracle.bdd_truth_table(h, n), want)
+    assert oracle.tables_equal(oracle.bdd_truth_table(h, n, interned.expand), want)

@@ -15,7 +15,7 @@ from bddhc.core import (
     OutOfFuel,
     VarOutOfRange,
 )
-from bddhc import frontend, oracle, pure
+from bddhc import frontend, graph, oracle, pure
 
 from util import gen_trace, ascending_chain_store, play_pure
 
@@ -31,7 +31,7 @@ def test_empty_store():
     assert len(st.memo.mand) == 0
     assert len(st.memo.mneg) == 0
     assert pure.validate_store(st).ok
-    assert pure.size(st, LEAF_TRUE) == 1
+    assert graph.size(LEAF_TRUE, pure.expander(st)) == 1
 
 
 def test_mk_node_collapses_equal_branches():
@@ -112,25 +112,27 @@ def test_mk_node_int_subclass_and_bool_var():
 
 def test_denote_leaves():
     st = pure.empty_store()
-    assert pure.denote(st, LEAF_TRUE, {}) is True
-    assert pure.denote(st, LEAF_FALSE, {1: True}) is False
+    assert graph.follow(LEAF_TRUE, pure.expander(st), {}.__getitem__) is True
+    assert graph.follow(LEAF_FALSE, pure.expander(st), {1: True}.__getitem__) is False
 
 
 def test_denote_ascending_chain_all_ones():
     st = ascending_chain_store()
-    assert pure.denote(st, 1, {1: True, 2: True, 3: True}) is True
+    assert graph.follow(
+        1, pure.expander(st), {1: True, 2: True, 3: True}.__getitem__
+    ) is True
 
 
 def test_denote_ascending_chain_x1_low():
     st = ascending_chain_store()
     # the 0-branch of node 1 is F; x2/x3 are never consulted
-    assert pure.denote(st, 1, {1: False}) is False
+    assert graph.follow(1, pure.expander(st), {1: False}.__getitem__) is False
 
 
 def test_denote_dangling():
     st = pure.empty_store()
     with pytest.raises(DanglingRef):
-        pure.denote(st, 1, {})
+        graph.follow(1, pure.expander(st), {}.__getitem__)
 
 
 def test_denote_cycle_guard():
@@ -138,7 +140,7 @@ def test_denote_cycle_guard():
         {1: Node(2, 1, 2), 2: Node(1, 2, 1)}, next_id=3
     )
     with pytest.raises(BddError):
-        pure.denote(looped, 1, {1: True, 2: True})
+        graph.follow(1, pure.expander(looped), {1: True, 2: True}.__getitem__)
 
 
 # -- negation ---------------------------------------------------------
@@ -157,7 +159,7 @@ def test_neg_single_node_matches_oracle():
     ref, st = pure.mk_node(st, LEAF_TRUE, 2, LEAF_FALSE)
     nref, st = pure.neg(st, ref)
     assert st.graph[nref] == Node(LEAF_FALSE, 2, LEAF_TRUE)
-    got = oracle.bdd_truth_table(nref, 2, store=st)
+    got = oracle.bdd_truth_table(nref, 2, pure.expander(st))
     want = oracle.formula_truth_table(frontend.parse("x2"), 2)
     assert oracle.tables_equal(got, want)
 
@@ -229,9 +231,9 @@ def test_apply_matches_oracle_pointwise():
         a, st = frontend.compile_pure(f, st)
         b, st = frontend.compile_pure(g, st)
         r, st = pure.apply_binop(st, op, a, b)
-        ta = oracle.bdd_truth_table(a, 4, store=st)
-        tb = oracle.bdd_truth_table(b, 4, store=st)
-        tr = oracle.bdd_truth_table(r, 4, store=st)
+        ta = oracle.bdd_truth_table(a, 4, pure.expander(st))
+        tb = oracle.bdd_truth_table(b, 4, pure.expander(st))
+        tr = oracle.bdd_truth_table(r, 4, pure.expander(st))
         fn = {"and": lambda x, y: x & y, "or": lambda x, y: x | y,
               "xor": lambda x, y: x ^ y}[op]
         assert tr.bits == fn(ta.bits, tb.bits) & ((1 << 16) - 1)
@@ -391,9 +393,9 @@ def test_alloc_past_a_gap_below_next():
     assert set(st.graph) == {1, 4}
     assert pure.node_count(st) == 2
     assert pure.validate_store(st).ok
-    assert pure.denote(st, 4, {1: True, 2: True}) is True
-    assert pure.denote(st, 4, {1: False}) is False
-    assert pure.denote(st, 4, {1: True, 2: False}) is False
+    assert graph.follow(4, pure.expander(st), {1: True, 2: True}.__getitem__) is True
+    assert graph.follow(4, pure.expander(st), {1: False}.__getitem__) is False
+    assert graph.follow(4, pure.expander(st), {1: True, 2: False}.__getitem__) is False
     assert pure.mk_node(st, LEAF_FALSE, 3, LEAF_TRUE)[0] == 5
 
 
@@ -445,14 +447,14 @@ def test_eq_basics():
 
 def test_size_examples():
     st = pure.empty_store()
-    assert pure.size(st, LEAF_TRUE) == 1
+    assert graph.size(LEAF_TRUE, pure.expander(st)) == 1
     chain = ascending_chain_store()
-    assert pure.size(chain, 1) == 5
+    assert graph.size(1, pure.expander(chain)) == 5
     st = pure.empty_store()
     ref, st = pure.mk_node(st, LEAF_TRUE, 2, LEAF_FALSE)
-    assert pure.size(st, ref) == 3
+    assert graph.size(ref, pure.expander(st)) == 3
     with pytest.raises(DanglingRef):
-        pure.size(pure.empty_store(), 9)
+        graph.size(9, pure.expander(pure.empty_store()))
 
 
 # -- validation -------------------------------------------------------
@@ -563,7 +565,7 @@ def test_monotonic_extension_preserves_bindings():
     # old version still answers as before
     assert len(st1.graph) == 1
     assert a in st1.graph and b not in st1.graph
-    assert pure.denote(st1, a, {2: True}) is True
+    assert graph.follow(a, pure.expander(st1), {2: True}.__getitem__) is True
 
 
 def test_old_version_fork_is_independent():
@@ -641,10 +643,10 @@ def test_forked_op_does_not_poison_sibling_memo():
     r_and, st_and = pure.apply_binop(st_or, "and", a, b)
     want = oracle.formula_truth_table(frontend.parse("x1 & x2"), 2)
     assert oracle.tables_equal(
-        oracle.bdd_truth_table(r_and, 2, store=st_and), want
+        oracle.bdd_truth_table(r_and, 2, pure.expander(st_and)), want
     )
     assert oracle.tables_equal(
-        oracle.bdd_truth_table(r_and_fork, 2, store=st_fork), want
+        oracle.bdd_truth_table(r_and_fork, 2, pure.expander(st_fork)), want
     )
     assert pure.validate_store(st_and, check_memo_semantics=True).ok
     assert pure.validate_store(st_fork, check_memo_semantics=True).ok
@@ -697,6 +699,23 @@ def test_read_only_operation_on_older_version_leaves_the_arena_alone():
     assert st_old.memo.mneg == {}
 
 
+def test_older_version_sees_memo_entries_a_newer_version_computed():
+    # the memo tables are a cache shared across the arena's versions: an entry
+    # a newer version computes over ids an older version sees shows in the
+    # older version's view, which reads the same answer from it; its graph
+    # and hash-consing map never change this way
+    a, st0 = pure.mk_node(pure.empty_store(), LEAF_FALSE, 1, LEAF_TRUE)
+    b, st0 = pure.neg(st0, a)
+    assert (a, b) == (1, 2)
+    graph0, hmap0 = st0.graph, st0.hmap
+    _, st1 = pure.mk_node(st0, LEAF_FALSE, 2, LEAF_TRUE)
+    assert st0.memo.mor == {}
+    assert pure.apply_binop(st1, "or", a, b)[0] is LEAF_TRUE
+    assert (st0.graph, st0.hmap) == (graph0, hmap0)
+    assert st0.memo.mor == {(1, 2): LEAF_TRUE}
+    assert pure.apply_binop(st0, "or", a, b) == (LEAF_TRUE, st0)
+
+
 def test_memo_soundness_random_traces():
     rng = random.Random(7)
     for _ in range(10):
@@ -734,7 +753,7 @@ def test_version_tree_stress_against_oracle():
             op = rng.choice(("and", "or", "xor"))
             ref, st2 = pure.apply_binop(st, op, ref0, ref1)
             f = {"and": FAnd, "or": FOr, "xor": FXor}[op](f0, f1)
-        got = oracle.bdd_truth_table(ref, n, store=st2)
+        got = oracle.bdd_truth_table(ref, n, pure.expander(st2))
         want = oracle.formula_truth_table(f, n)
         assert oracle.tables_equal(got, want), (step, f)
         snapshots.append((st2, env + [(ref, f)]))
@@ -743,7 +762,7 @@ def test_version_tree_stress_against_oracle():
     # old snapshots still answer correctly after all that churn
     for st, env in rng.sample(snapshots, 25):
         ref, f = env[rng.randrange(len(env))]
-        got = oracle.bdd_truth_table(ref, n, store=st)
+        got = oracle.bdd_truth_table(ref, n, pure.expander(st))
         assert oracle.tables_equal(got, oracle.formula_truth_table(f, n))
         assert pure.validate_store(st).ok
 
@@ -920,7 +939,7 @@ def test_concurrent_operations_from_one_version():
         want_f = oracle.formula_truth_table(f, 6).bits
         want = {"and": want_f & want_g.bits, "or": want_f | want_g.bits,
                 "xor": want_f ^ want_g.bits}[ops[i % 3]]
-        assert oracle.bdd_truth_table(ref, 6, store=local_st).bits == want
+        assert oracle.bdd_truth_table(ref, 6, pure.expander(local_st)).bits == want
         assert pure.validate_store(local_st, check_memo_semantics=True).ok
     assert pure.store_to_text(st) == text
     assert pure.validate_store(st, check_memo_semantics=True).ok
