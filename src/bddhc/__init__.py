@@ -15,6 +15,7 @@ from .core import (
     Assignment,
     BddError,
     Const,
+    CorruptStore,
     DanglingRef,
     FALSE,
     ForeignHandle,
@@ -26,7 +27,6 @@ from .core import (
     Not,
     Or,
     OrderViolation,
-    OutOfFuel,
     Ref,
     TRUE,
     ValidationReport,
@@ -46,6 +46,7 @@ __all__ = [
     "Assignment",
     "BddError",
     "Const",
+    "CorruptStore",
     "DanglingRef",
     "FALSE",
     "ForeignHandle",
@@ -59,7 +60,6 @@ __all__ = [
     "Not",
     "Or",
     "OrderViolation",
-    "OutOfFuel",
     "Ref",
     "TRUE",
     "ValidationReport",

@@ -29,8 +29,8 @@ class OrderViolation(BddError):
     """A child's variable index is not strictly larger than its parent's."""
 
 
-class OutOfFuel(BddError):
-    """The recursion budget was exhausted before the operation finished."""
+class CorruptStore(BddError):
+    """An operation was asked to run on a store that breaks an invariant."""
 
 
 class DanglingRef(BddError):

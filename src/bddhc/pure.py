@@ -65,18 +65,19 @@ operation that fails in its input version's own arena puts the arena
 back to that version before the error propagates (``_restore``), so the
 version stays the newest and later operations on it still run in place.
 
-``mk_node`` is the public, checked constructor, and the recursions run
-the same body, ``_mk``, in their arena: the variable and child-reference
-shape checks, child visibility against ``next``, dangling ids and the
-variable order, each with its own exception and message; ``neg`` and
-``apply_binop`` check their operands on entry the same way.  The checks
-run inline on locals read once per call, with a ``type(x) is int`` fast
-test that falls back to the full test for anything else (bools, int
-subclasses, bad values), because the call overhead of small helpers
-costs more than the checks themselves.  ``core.Leaf`` hashes by
-identity, so hashing a node triple with a leaf child stays in C, and the
-hash-consing map is probed with a plain tuple, which hashes and compares
-like its ``Node``.
+An arena is checked once, when ``store_from_parts`` builds it (the
+loader builds through it): only there can a cell break a rule that
+``mk_node`` enforces.  The first violation ``validate_store`` finds stays
+on the arena and its copies, and ``_operate`` refuses every operation on
+them with ``CorruptStore``.  In every other arena each child is present
+and below its parent in id and in the variable order, so the recursions
+carry no budget, test no id and call ``_mk``, the constructor without
+checks.  Arguments are outside input: ``mk_node`` checks its variable and
+children, and ``neg`` and ``apply_binop`` their operands
+(``_check_operand``), each fault with its own exception and message.
+``core.Leaf`` hashes by identity, so hashing a node triple with a leaf
+child stays in C, and the hash-consing map is probed with a plain tuple,
+which hashes and compares like its ``Node``.
 
 Serialization
 =============
@@ -105,13 +106,13 @@ from .core import (
     LEAF_FALSE,
     LEAF_TRUE,
     BddError,
+    CorruptStore,
     DanglingRef,
     InvalidChild,
     Leaf,
     Node,
     NodeRef,
     OrderViolation,
-    OutOfFuel,
     STAT_KEYS,
     ValidationReport,
     check_var,
@@ -139,11 +140,14 @@ class _Shared:
     a version sees is never reassigned, and reads of the dict tables go
     through ``dict.copy``, which the GIL makes atomic.  The stats counters
     are instrumentation: they count the work done in this arena.
+    ``defect`` is the message of the first violation ``store_from_parts``
+    found in the arena it built, or None; operations refuse the arena
+    when it is set.
     """
 
     __slots__ = (
         "cells", "hmap", *(attr for attr, _ in _MEMO_TABLES.values()),
-        "next", "max_var", "lock", "stats",
+        "next", "max_var", "lock", "stats", "defect",
     )
 
     def __init__(self) -> None:
@@ -155,6 +159,7 @@ class _Shared:
         self.max_var = 0
         self.lock = threading.Lock()
         self.stats = dict.fromkeys(STAT_KEYS, 0)
+        self.defect: Optional[str] = None
 
 
 def _visible(ref: NodeRef, count: int) -> bool:
@@ -252,10 +257,14 @@ def store_from_parts(
     memo_xor: Optional[Mapping[tuple[int, int], NodeRef]] = None,
     memo_neg: Optional[Mapping[int, NodeRef]] = None,
 ) -> Store:
-    """Build a store directly from raw tables, without any checking.
+    """Build a store directly from raw tables, checked once.
 
-    This is the loader's and the test suite's backdoor: it will happily
-    build broken stores so ``validate_store`` has something to report.
+    This is the loader's and the test suite's backdoor: it builds broken
+    stores too, so ``validate_store`` has something to report.  If
+    ``validate_store`` (without the memo semantic check) finds a
+    violation, every operation on the store or a copy of it raises
+    ``CorruptStore`` with the first violation's message.  Memo entries
+    over nodes the store has are trusted to hold the right answer.
     When ``hmap`` is omitted the exact inverse of ``graph`` is used; when
     ``next_id`` is omitted, one past the largest id mentioned anywhere.
     The store sees ``max(largest graph id, next_id - 1)`` arena slots, the
@@ -281,7 +290,11 @@ def store_from_parts(
         setattr(sh, attr, dict(table or {}))
     max_var = max((n.var for n in graph.values()), default=0)
     st = Store(sh, count, next_id, max_var)
-    return Store(_clone_shared(st), count, next_id, max_var)
+    st = Store(_clone_shared(st), count, next_id, max_var)
+    report = validate_store(st)
+    if not report.ok:
+        st.shared.defect = report.violations[0].message
+    return st
 
 
 def clear_memo(st: Store) -> Store:
@@ -295,9 +308,11 @@ def clear_memo(st: Store) -> Store:
 
 
 def _clone_shared(st: Store, copy_memo: bool = True) -> _Shared:
-    """Private copy of the prefix of the arena that ``st`` can see."""
+    """Private copy of the prefix of the arena that ``st`` can see, with
+    the arena's counters and defect."""
     sh = _Shared()
     sh.stats = st.shared.stats.copy()
+    sh.defect = st.shared.defect
     return _restore(sh, st, copy_memo)
 
 
@@ -333,15 +348,6 @@ def node_count(st: Store) -> int:
     return st.count - st.shared.cells[: st.count].count(None)
 
 
-def default_fuel(st: Store) -> int:
-    """The recursion budget of ``neg`` and ``apply_binop``.
-
-    One unit per variable level is always enough for a well-formed store,
-    so only a corrupt one (a cycle of ids, say) runs out.
-    """
-    return st.max_var + 1
-
-
 # ---------------------------------------------------------------------------
 # Allocation
 
@@ -351,9 +357,12 @@ def _operate(st: Store, body, *args) -> tuple[NodeRef, Store]:
     whose newest version is ``st``: the arena of ``st``, under its lock
     until the operation ends, if ``st`` is already its newest version, and
     otherwise a private clone of ``st``.  An operation that fails in the
-    arena of ``st`` restores it to ``st`` before the error propagates.
+    arena of ``st`` restores it to ``st`` before the error propagates.  An
+    arena with a defect is refused before anything runs.
     """
     sh = st.shared
+    if sh.defect is not None:
+        raise CorruptStore(sh.defect)
     # acquire/release, not ``with``, which costs about twice as much per call
     # and shows on jobs made of many small operations
     lock = sh.lock
@@ -381,13 +390,8 @@ def _reached(st: Store, sh: _Shared) -> Store:
 
 def _alloc(sh: _Shared, node: Node) -> int:
     """Append ``node`` with the fresh id ``sh.next`` and advance the arena."""
-    node_id, cells = sh.next, sh.cells
-    if node_id <= len(cells):
-        raise BddError(
-            "store next counter is not past its allocated ids; "
-            "refusing to allocate (run validate_store)"
-        )
-    cells.append(node)
+    node_id = sh.next
+    sh.cells.append(node)
     sh.hmap[node] = node_id
     sh.next = node_id + 1
     if node.var > sh.max_var:
@@ -406,15 +410,13 @@ def mk_node(st: Store, low: NodeRef, var: int, high: NodeRef) -> tuple[NodeRef, 
     existing id when the triple is already allocated, and otherwise a
     fresh node under id ``st.next``.  The returned store extends ``st``
     monotonically; on the first two paths it *is* ``st``.
+
+    The arguments are checked first, with a ``type(x) is int`` fast test
+    that falls back to the full test for bools, int subclasses and the like.
     """
-    return _operate(st, _mk, low, var, high)
-
-
-def _mk(sh: _Shared, low: NodeRef, var: int, high: NodeRef) -> NodeRef:
-    """``mk_node`` in an arena: every check, then a hit or an allocation."""
     if type(var) is not int or var < 1:
         check_var(var)
-    nxt, cells = sh.next, sh.cells
+    nxt, cells = st.next, st.shared.cells
     for child in (low, high):
         if type(child) is not int:
             if type(child) is Leaf:  # an enum with members has no subclasses
@@ -432,6 +434,12 @@ def _mk(sh: _Shared, low: NodeRef, var: int, high: NodeRef) -> NodeRef:
             raise OrderViolation(
                 f"child {child} has variable x{node.var}, not below x{var}"
             )
+    return _operate(st, _mk, low, var, high)
+
+
+def _mk(sh: _Shared, low: NodeRef, var: int, high: NodeRef) -> NodeRef:
+    """``mk_node`` in an arena, without checks: the collapse, a hit or an
+    allocation."""
     if low == high:
         return low
     # a plain tuple hashes and compares like the ``Node`` it would become
@@ -454,7 +462,7 @@ def eq(a: NodeRef, b: NodeRef) -> bool:
 
 def _check_operand(st: Store, ref: NodeRef) -> None:
     """Raise unless ``ref`` is a leaf or a node ``st`` holds, with the
-    types and messages of the recursions' own checks."""
+    exception types of ``mk_node``'s checks."""
     if type(ref) is Leaf:
         return
     if type(ref) is not int and (not isinstance(ref, int) or isinstance(ref, bool)):
@@ -466,12 +474,10 @@ def _check_operand(st: Store, ref: NodeRef) -> None:
 def neg(st: Store, ref: NodeRef) -> tuple[NodeRef, Store]:
     """Complement: the result denotes the pointwise negation of ``ref``."""
     _check_operand(st, ref)
-    return _operate(st, _neg_rec, ref, default_fuel(st))
+    return _operate(st, _neg_rec, ref)
 
 
-def _neg_rec(sh: _Shared, ref: NodeRef, fuel: int) -> NodeRef:
-    if fuel <= 0:
-        raise OutOfFuel("negation ran out of fuel")
+def _neg_rec(sh: _Shared, ref: NodeRef) -> NodeRef:
     if ref is LEAF_TRUE:
         return LEAF_FALSE
     if ref is LEAF_FALSE:
@@ -481,13 +487,9 @@ def _neg_rec(sh: _Shared, ref: NodeRef, fuel: int) -> NodeRef:
         sh.stats["not_hits"] += 1
         return hit
     sh.stats["not_misses"] += 1
-    cells = sh.cells
-    node = cells[ref - 1] if 1 <= ref <= len(cells) else None
-    if node is None:
-        raise DanglingRef(f"node id {ref} has no graph entry")
-    low, var, high = node
-    low = _neg_rec(sh, low, fuel - 1)
-    high = _neg_rec(sh, high, fuel - 1)
+    low, var, high = sh.cells[ref - 1]
+    low = _neg_rec(sh, low)
+    high = _neg_rec(sh, high)
     result = _mk(sh, low, var, high)
     sh.mneg[ref] = result
     return result
@@ -504,12 +506,10 @@ def apply_binop(st: Store, op: str, a: NodeRef, b: NodeRef) -> tuple[NodeRef, St
         raise ValueError(f"unknown operation {op!r}")
     _check_operand(st, a)
     _check_operand(st, b)
-    return _operate(st, _apply_rec, op, a, b, default_fuel(st))
+    return _operate(st, _apply_rec, op, a, b)
 
 
-def _apply_rec(sh: _Shared, op: str, a: NodeRef, b: NodeRef, fuel: int) -> NodeRef:
-    if fuel <= 0:
-        raise OutOfFuel(f"{op} ran out of fuel")
+def _apply_rec(sh: _Shared, op: str, a: NodeRef, b: NodeRef) -> NodeRef:
     if a == b:
         return LEAF_FALSE if op == "xor" else a
     if op == "and":
@@ -533,9 +533,9 @@ def _apply_rec(sh: _Shared, op: str, a: NodeRef, b: NodeRef, fuel: int) -> NodeR
             return a
         # xor against true is negation; mneg carries the memoization
         if a is LEAF_TRUE:
-            return _neg_rec(sh, b, fuel)
+            return _neg_rec(sh, b)
         if b is LEAF_TRUE:
-            return _neg_rec(sh, a, fuel)
+            return _neg_rec(sh, a)
     table, hits, misses = _BINOP_KEYS[op]
     key = (a, b)
     memo = getattr(sh, table)
@@ -545,22 +545,15 @@ def _apply_rec(sh: _Shared, op: str, a: NodeRef, b: NodeRef, fuel: int) -> NodeR
         return hit
     sh.stats[misses] += 1
     cells = sh.cells
-    count = len(cells)
-    node_a = cells[a - 1] if 1 <= a <= count else None
-    if node_a is None:
-        raise DanglingRef(f"node id {a} has no graph entry")
-    node_b = cells[b - 1] if 1 <= b <= count else None
-    if node_b is None:
-        raise DanglingRef(f"node id {b} has no graph entry")
-    a_low, var, a_high = node_a
-    b_low, var_b, b_high = node_b
+    a_low, var, a_high = cells[a - 1]
+    b_low, var_b, b_high = cells[b - 1]
     if var < var_b:
         b_low = b_high = b
     elif var_b < var:
         var = var_b
         a_low = a_high = a
-    low = _apply_rec(sh, op, a_low, b_low, fuel - 1)
-    high = _apply_rec(sh, op, a_high, b_high, fuel - 1)
+    low = _apply_rec(sh, op, a_low, b_low)
+    high = _apply_rec(sh, op, a_high, b_high)
     result = _mk(sh, low, var, high)
     memo[key] = result
     return result
@@ -726,7 +719,11 @@ def store_to_text(st: Store) -> str:
 
 
 def store_from_text(text: str) -> Store:
-    """Parse the line format; the result may be invalid, validate it."""
+    """Parse the line format.
+
+    The result may break an invariant: ``validate_store`` reports what,
+    and operations on it raise ``CorruptStore``.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != "bddhc-store 1":
         raise BddError("line 1: expected header 'bddhc-store 1'")

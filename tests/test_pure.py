@@ -8,11 +8,11 @@ from bddhc.core import (
     LEAF_FALSE,
     LEAF_TRUE,
     BddError,
+    CorruptStore,
     DanglingRef,
     InvalidChild,
     Node,
     OrderViolation,
-    OutOfFuel,
     VarOutOfRange,
 )
 from bddhc import frontend, graph, oracle, pure
@@ -175,17 +175,6 @@ def test_double_negation_returns_same_ref():
         assert pure.eq(n2, ref)
 
 
-def test_neg_out_of_fuel():
-    # a corrupt store whose nodes are each other's low child: the default
-    # budget, one unit per variable level, is what ends each recursion
-    st = pure.store_from_parts({1: Node(2, 1, LEAF_TRUE), 2: Node(1, 1, LEAF_FALSE)})
-    with pytest.raises(OutOfFuel, match="^negation ran out of fuel$"):
-        pure.neg(st, 1)
-    for op in ("and", "or", "xor"):
-        with pytest.raises(OutOfFuel, match=f"^{op} ran out of fuel$"):
-            pure.apply_binop(st, op, 1, 2)
-
-
 # -- binary operations ------------------------------------------------
 
 
@@ -239,43 +228,121 @@ def test_apply_matches_oracle_pointwise():
         assert tr.bits == fn(ta.bits, tb.bits) & ((1 << 16) - 1)
 
 
-def _order_violating_store():
-    # node 2 tests x2 but its 1-branch, node 1, tests x1
-    return pure.store_from_parts(
-        {
-            1: Node(LEAF_FALSE, 1, LEAF_TRUE),
-            2: Node(LEAF_FALSE, 2, 1),
-            3: Node(LEAF_TRUE, 2, LEAF_FALSE),
-        }
-    )
-
-
-@pytest.mark.parametrize("op", ["or", "xor"])
-def test_apply_reports_order_violation_from_mk_node(op):
-    with pytest.raises(
-        OrderViolation, match=r"^child 1 has variable x1, not below x2$"
-    ):
-        pure.apply_binop(_order_violating_store(), op, 2, 3)
-
-
-def test_neg_reports_order_violation_from_mk_node():
-    with pytest.raises(
-        OrderViolation, match=r"^child 4 has variable x1, not below x2$"
-    ):
-        pure.neg(_order_violating_store(), 2)
-
-
 def test_operations_report_dangling_children():
-    # node 2's 0-branch names id 1, which has no graph entry
+    # node 2's 0-branch names id 1, which has no graph entry; an operation
+    # refuses the store, while ``mk_node`` checks its own arguments first
     st = pure.store_from_parts(
         {2: Node(1, 1, LEAF_TRUE), 3: Node(LEAF_FALSE, 2, LEAF_TRUE)}
     )
-    with pytest.raises(DanglingRef, match=r"^node id 1 has no graph entry$"):
+    message = r"^node 2 has child 1 with no graph entry$"
+    with pytest.raises(CorruptStore, match=message):
         pure.apply_binop(st, "and", 2, 3)
-    with pytest.raises(DanglingRef, match=r"^node id 1 has no graph entry$"):
+    with pytest.raises(CorruptStore, match=message):
         pure.neg(st, 2)
     with pytest.raises(DanglingRef, match=r"^child id 1 has no graph entry$"):
         pure.mk_node(st, 1, 1, LEAF_TRUE)
+
+
+# one hand-built store per ``validate_store`` code, with the message of the
+# first violation its report lists: that code's own, except that a duplicate
+# node always breaks the left inverse too, which is reported first
+_CORRUPT_STORES = {
+    "validity": (
+        {"graph": {1: Node(LEAF_FALSE, 2, LEAF_TRUE), 2: Node(LEAF_FALSE, 1, 9)},
+         "next_id": 3},
+        "node 2 has child 9 not below next=3",
+    ),
+    "acyclicity": (
+        {"graph": ascending_chain_store().graph},
+        "node 1 has child 2, ids must decrease",
+    ),
+    # node 2 tests x2 but its 1-branch, node 1, tests x1
+    "ordered": (
+        {"graph": {
+            1: Node(LEAF_FALSE, 1, LEAF_TRUE),
+            2: Node(LEAF_FALSE, 2, 1),
+            3: Node(LEAF_TRUE, 2, LEAF_FALSE),
+        }},
+        "node 2 (x2) has child 1 labeled x1",
+    ),
+    "reduced": (
+        {"graph": {1: Node(LEAF_FALSE, 2, LEAF_TRUE), 2: Node(LEAF_TRUE, 1, LEAF_TRUE)}},
+        "node 2 has equal branches Leaf.TRUE",
+    ),
+    # the hmap sends (T, x2, F) to node 1, which is (F, x1, T)
+    "left-inverse": (
+        {
+            "graph": {
+                1: Node(LEAF_FALSE, 1, LEAF_TRUE),
+                2: Node(LEAF_FALSE, 2, LEAF_TRUE),
+                3: Node(LEAF_TRUE, 2, LEAF_FALSE),
+            },
+            "hmap": {
+                Node(LEAF_FALSE, 1, LEAF_TRUE): 1,
+                Node(LEAF_FALSE, 2, LEAF_TRUE): 2,
+                Node(LEAF_TRUE, 2, LEAF_FALSE): 1,
+            },
+        },
+        "graph has 3 -> Node(low=Leaf.TRUE, var=2, high=Leaf.FALSE), "
+        "but hmap maps that node to 1",
+    ),
+    "no-duplicates": (
+        {"graph": {1: Node(LEAF_FALSE, 1, LEAF_TRUE), 2: Node(LEAF_FALSE, 1, LEAF_TRUE)}},
+        "graph has 1 -> Node(low=Leaf.FALSE, var=1, high=Leaf.TRUE), "
+        "but hmap maps that node to 2",
+    ),
+    # the cached complement of node 3 is id 2, whose slot is empty
+    "memo-domain": (
+        {
+            "graph": {1: Node(LEAF_FALSE, 1, LEAF_TRUE), 3: Node(LEAF_FALSE, 2, LEAF_TRUE)},
+            "memo_neg": {3: 2},
+            "next_id": 4,
+        },
+        "mneg[3] = 2 references unknown id",
+    ),
+}
+
+# one call of each operation, with arguments that pass its own checks on
+# every store above
+_OPERATIONS = {
+    "mk_node": lambda st: pure.mk_node(st, LEAF_FALSE, 9, LEAF_TRUE),
+    "neg": lambda st: pure.neg(st, 1),
+    "apply_binop": lambda st: pure.apply_binop(st, "and", 1, LEAF_TRUE),
+}
+
+
+def test_neg_refuses_a_store_whose_hmap_is_not_a_left_inverse():
+    # the complement of node 2 is (T, x2, F): trusting the hmap gave node 1,
+    # which is x1
+    parts, message = _CORRUPT_STORES["left-inverse"]
+    with pytest.raises(CorruptStore) as info:
+        pure.neg(pure.store_from_parts(**parts), 2)
+    assert str(info.value) == message
+
+
+def test_neg_refuses_a_memo_value_that_names_an_empty_slot():
+    # trusting the memo table gave id 2, which the store does not hold
+    parts, message = _CORRUPT_STORES["memo-domain"]
+    with pytest.raises(CorruptStore) as info:
+        pure.neg(pure.store_from_parts(**parts), 3)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("code", sorted(_CORRUPT_STORES))
+def test_copies_of_a_corrupt_store_refuse_alike(code):
+    parts, message = _CORRUPT_STORES[code]
+    st = pure.store_from_parts(**parts)
+    report = pure.validate_store(st)
+    assert code in report.codes()
+    assert report.violations[0].message == message
+    # an older version of the arena, which sees only node 1, and a clone
+    older = st._replace(count=1, next=2)
+    assert len(older.shared.cells) > older.count
+    for copy in (older, pure.clear_memo(st)):
+        for run in _OPERATIONS.values():
+            with pytest.raises(CorruptStore) as info:
+                run(copy)
+            assert str(info.value) == message
 
 
 # operands are checked on entry, before any leaf rule or memo lookup, as
@@ -311,40 +378,97 @@ def test_operations_check_their_operands(case):
     assert str(info.value) == message
 
 
-# the low branch of each operation allocates a node, then the high branch
-# meets the fault; the message names what the high branch meets
+class _AllocFault(Exception):
+    """The fault ``_second_alloc_fails`` injects."""
+
+
+def _second_alloc_fails(operation):
+    """``operation`` with ``pure._alloc`` failing on its second call, after
+    the operation's low branch has allocated a node in the arena."""
+
+    def run(st):
+        alloc = pure._alloc
+        calls = []
+
+        def failing_alloc(sh, node):
+            calls.append(node)
+            if len(calls) == 2:
+                assert len(sh.cells) == st.count + 1
+                raise _AllocFault("second allocation")
+            return alloc(sh, node)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pure, "_alloc", failing_alloc)
+            return operation(st)
+
+    return run
+
+
+# an operation that fails partway through a valid store, and one on each
+# corrupt store, which is refused upfront
 _FAILING_OPERATIONS = {
+    # 4 = (x3, x2, !x4) and 5 = (x4, x2, x3): the low branch makes (F, x3, x4)
+    "interrupted-and": (
+        {"graph": {
+            1: Node(LEAF_FALSE, 3, LEAF_TRUE),
+            2: Node(LEAF_FALSE, 4, LEAF_TRUE),
+            3: Node(LEAF_TRUE, 4, LEAF_FALSE),
+            4: Node(1, 2, 3),
+            5: Node(2, 2, 1),
+        }},
+        _second_alloc_fails(lambda st: pure.apply_binop(st, "and", 4, 5)),
+        _AllocFault,
+        "second allocation",
+    ),
+    # 4 = (x3, x2, id 3): the low branch makes !x3
+    "interrupted-neg": (
+        {"graph": {
+            1: Node(LEAF_FALSE, 3, LEAF_TRUE),
+            2: Node(LEAF_FALSE, 4, LEAF_TRUE),
+            3: Node(LEAF_FALSE, 3, 2),
+            4: Node(1, 2, 3),
+        }},
+        _second_alloc_fails(lambda st: pure.neg(st, 4)),
+        _AllocFault,
+        "second allocation",
+    ),
+    # corrupt stores whose defect lies under the operation's high branch
     # 4 = (x3, x2, id 3), and id 3 has no graph entry
     "dangling": (
-        {
+        {"graph": {
             1: Node(LEAF_FALSE, 3, LEAF_TRUE),
             2: Node(LEAF_FALSE, 4, LEAF_TRUE),
             4: Node(1, 2, 3),
             5: Node(2, 2, 1),
-        },
+        }},
         lambda st: pure.apply_binop(st, "and", 4, 5),
-        DanglingRef,
-        "node id 3 has no graph entry",
+        CorruptStore,
+        "node 4 has child 3 with no graph entry",
     ),
     # 4 = (x3, x2, id 3), and id 3 tests x3 above its 1-branch on x1
     "order": (
-        {
+        {"graph": {
             1: Node(LEAF_FALSE, 3, LEAF_TRUE),
             2: Node(LEAF_FALSE, 1, LEAF_TRUE),
             3: Node(LEAF_FALSE, 3, 2),
             4: Node(1, 2, 3),
-        },
+        }},
         lambda st: pure.neg(st, 4),
-        OrderViolation,
-        "child 6 has variable x1, not below x3",
+        CorruptStore,
+        "node 3 (x3) has child 2 labeled x1",
     ),
+    **{
+        f"{code}-{op}": (parts, run, CorruptStore, message)
+        for code, (parts, message) in _CORRUPT_STORES.items()
+        for op, run in _OPERATIONS.items()
+    },
 }
 
 
 @pytest.mark.parametrize("case", sorted(_FAILING_OPERATIONS))
 def test_failed_operation_leaves_its_input_version_intact(case):
-    graph, run, exc, message = _FAILING_OPERATIONS[case]
-    st = pure.store_from_parts(graph)
+    parts, run, exc, message = _FAILING_OPERATIONS[case]
+    st = pure.store_from_parts(**parts)
     text = pure.store_to_text(st)
     report = pure.validate_store(st).violations
     for _ in range(2):
@@ -353,13 +477,13 @@ def test_failed_operation_leaves_its_input_version_intact(case):
         assert str(info.value) == message
         assert pure.store_to_text(st) == text
         assert pure.validate_store(st).violations == report
-        assert pure.node_count(st) == len(graph)
+        assert pure.node_count(st) == len(parts["graph"])
 
 
-@pytest.mark.parametrize("case", sorted(_FAILING_OPERATIONS))
+@pytest.mark.parametrize("case", ["interrupted-and", "interrupted-neg"])
 def test_failed_operation_keeps_its_input_version_the_newest(case):
-    graph, run, exc, _ = _FAILING_OPERATIONS[case]
-    st = pure.store_from_parts(graph)
+    parts, run, exc, _ = _FAILING_OPERATIONS[case]
+    st = pure.store_from_parts(**parts)
     with pytest.raises(exc):
         run(st)
     assert len(st.shared.cells) == st.count
@@ -375,12 +499,9 @@ def test_alloc_refuses_when_next_is_not_past_the_graph():
         next_id=2,
     )
     text = pure.store_to_text(st)
-    with pytest.raises(BddError) as info:
+    with pytest.raises(CorruptStore) as info:
         pure.mk_node(st, LEAF_FALSE, 3, LEAF_TRUE)
-    assert str(info.value) == (
-        "store next counter is not past its allocated ids; "
-        "refusing to allocate (run validate_store)"
-    )
+    assert str(info.value) == "graph id 2 is not below next=2"
     assert pure.store_to_text(st) == text
 
 
@@ -422,17 +543,6 @@ def test_semantically_equal_formulas_share_one_ref():
     a, st = frontend.compile_pure(frontend.parse("(x1|x2) & (x1|!x2)"), st)
     b, st = frontend.compile_pure(frontend.parse("x1"), st)
     assert pure.eq(a, b)
-
-
-def test_fuel_default_is_sufficient():
-    rng = random.Random(3)
-    for _ in range(25):
-        f = frontend.random_formula(rng, max_var=6, max_depth=7)
-        st = pure.empty_store()
-        ref, st = frontend.compile_pure(f, st)
-        g = frontend.random_formula(rng, max_var=6, max_depth=7)
-        rg, st = frontend.compile_pure(g, st)
-        pure.apply_binop(st, "xor", ref, rg)
 
 
 # -- eq and size ------------------------------------------------------
@@ -875,6 +985,80 @@ def test_loaded_corrupt_store_is_flagged_not_raised():
     text = "bddhc-store 1\nnext 2\n1 5 1 T\n"  # child 5 is not below next
     loaded = pure.store_from_text(text)
     assert not pure.validate_store(loaded).ok
+
+
+def _mutate_one_token(rng, text, n):
+    """``text`` with one of its ``next`` value, record children and record
+    variables replaced by a random token the loader accepts."""
+    lines = text.splitlines()
+    bound = len(lines) - 1  # the record count + 1
+    row = rng.randrange(1, len(lines))
+    fields = lines[row].split()
+    if row == 1:
+        fields[1] = str(rng.randint(1, bound))
+    else:
+        field = rng.randrange(1, 4)
+        if field == 2:
+            fields[2] = str(rng.randint(1, n))
+        else:
+            fields[field] = rng.choice(["T", "F", str(rng.randint(1, bound))])
+    lines[row] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_store_files_are_refused_or_answered_right():
+    rng = random.Random(21)
+    n = 4
+    full = (1 << (1 << n)) - 1
+    st = pure.empty_store()
+    for _ in range(4):
+        _, st = frontend.compile_pure(frontend.random_formula(rng, n, 5), st)
+    text = pure.store_to_text(st)
+    outcomes = {"refused": 0, "right": 0}
+    for _ in range(1000):
+        loaded = pure.store_from_text(_mutate_one_token(rng, text, n))
+        loaded_graph = loaded.graph
+        refs = [LEAF_TRUE, LEAF_FALSE, *loaded_graph]
+        kind = rng.choice(("mk_node", "neg", "and", "or", "xor"))
+        if kind == "mk_node":
+            var = rng.randint(1, n)
+            below = [LEAF_TRUE, LEAF_FALSE] + [
+                i for i, node in loaded_graph.items()
+                if i < loaded.next and node.var > var
+            ]
+            args = (rng.choice(below), var, rng.choice(below))
+            run = lambda: pure.mk_node(loaded, *args)
+        elif kind == "neg":
+            args = (rng.choice(refs),)
+            run = lambda: pure.neg(loaded, *args)
+        else:
+            args = (rng.choice(refs), rng.choice(refs))
+            run = lambda: pure.apply_binop(loaded, kind, *args)
+        report = pure.validate_store(loaded)
+        if not report.ok:
+            with pytest.raises(CorruptStore) as info:
+                run()
+            assert str(info.value) == report.violations[0].message
+            outcomes["refused"] += 1
+            continue
+        ref, result = run()
+
+        def table(ref):
+            return oracle.bdd_truth_table(ref, n, pure.expander(loaded)).bits
+
+        if kind == "mk_node":
+            low, var, high = args
+            chosen = sum(1 << k for k in range(1 << n) if k >> (var - 1) & 1)
+            want = table(low) & ~chosen | table(high) & chosen
+        elif kind == "neg":
+            want = ~table(args[0]) & full
+        else:
+            a, b = map(table, args)
+            want = {"and": a & b, "or": a | b, "xor": a ^ b}[kind]
+        assert oracle.bdd_truth_table(ref, n, pure.expander(result)).bits == want
+        assert pure.validate_store(result).ok
+        outcomes["right"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 # -- concurrency smoke ---------------------------------------------------
