@@ -311,6 +311,20 @@ _OPERATIONS = {
 }
 
 
+@pytest.mark.parametrize("op", ["or", "xor"])
+def test_apply_reports_order_violation_from_mk_node(op):
+    # the order violation that ``mk_node`` used to meet partway through the
+    # recursion is now found when the store is checked, before any node is
+    # made, and the input version is left as it was
+    parts, message = _CORRUPT_STORES["ordered"]
+    st = pure.store_from_parts(**parts)
+    count = len(st.shared.cells)
+    with pytest.raises(CorruptStore) as info:
+        pure.apply_binop(st, op, 2, 3)
+    assert str(info.value) == message
+    assert len(st.shared.cells) == count
+
+
 def test_neg_refuses_a_store_whose_hmap_is_not_a_left_inverse():
     # the complement of node 2 is (T, x2, F): trusting the hmap gave node 1,
     # which is x1
