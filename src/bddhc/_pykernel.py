@@ -10,35 +10,28 @@ statistics.  Only the compiled ``node`` also rejects a variable above
 manager tags from ``_manager_ids``, so a handle of one kernel is foreign
 to every manager of the other.  ``bddhc.interned`` lists the kernels.
 
-Hot path
-========
-``Manager.node`` keeps every check, in the same order and with the same
-exception and message: the variable, ``low``'s then ``high``'s owner,
-then ``low``'s then ``high``'s variable order.  It runs them inline on
-``self._tag`` read once per call: ``type(var) is int and var >= 1`` and
-``type(x) is Handle and x.tag == tag`` are the fast tests, and anything
-else (bools, int subclasses, bad values, foreign or non-handle children)
-goes to the full ``check_var``/``_check_owned``.  The apply and negation
-recursions read ``uid``/``terminal``/``var`` into locals once and branch
-on the smaller top variable inline.
-
-and/or/xor share one memoized Shannon expansion, ``_apply_rec(op, a, b)``.
-``op`` is the manager's record for that operation (``_Op``: its kind,
-memo table and hit/miss counters), looked up once by ``apply_binop``;
-the leaf rules read ``op.kind`` only when an operand is a leaf or both
-are the same node.  ``_neg_rec`` keeps its own recursion on the ``not``
-record.  Binding ``self._apply_rec`` to a local per call measured slower
-and is not used.  The recursions call ``self.node`` and ``self._neg_rec``
-through the instance, so a wrapper set as an instance attribute (a
-tracer, say) sees every constructor call.
+Handles as views
+================
+``Manager`` checks its arguments as the C kernel does, in the same order
+and with the same exception and message (the variable, ``low``'s then
+``high``'s owner, then their variable order), and runs the shared Python
+engine (``_engine``) on its own arena.  A handle is a view of one arena
+ref, made when first needed (``_Pool.handle``): node uid = arena id + 2,
+and ``low``/``high`` are read from the arena that made it.  A wrapper set
+as an instance attribute (a tracer, say) sees the public calls only; the
+recursions build through ``_engine.mk``.
 """
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from typing import Iterator
 
+from . import _engine
 from .core import (
     BINOPS,
+    LEAF_FALSE,
+    LEAF_TRUE,
     OPS,
     STAT_KEYS,
     ForeignHandle,
@@ -55,18 +48,25 @@ class Handle:
 
     ``terminal`` is 1 for the true leaf, 0 for the false leaf and -1 for
     decision nodes.  Only decision nodes have a meaningful ``var`` (their
-    branch variable) and non-None ``low``/``high``.
+    branch variable) and non-None ``low``/``high``, read from their pool.
     """
 
-    __slots__ = ("uid", "var", "low", "high", "terminal", "tag")
+    __slots__ = ("uid", "var", "terminal", "tag", "_ref", "_pool")
 
-    def __init__(self, uid, var, low, high, terminal, tag):
+    def __init__(self, uid, var, terminal, tag, ref, pool):
         self.uid = uid
         self.var = var
-        self.low = low
-        self.high = high
         self.terminal = terminal
         self.tag = tag
+        self._ref = ref
+        self._pool = pool
+
+    low = property(lambda h: h._child(0))
+    high = property(lambda h: h._child(2))
+
+    def _child(self, field: int):
+        if self.terminal < 0:
+            return self._pool.handle(self._pool.cells[self._ref - 1][field])
 
     def __repr__(self):
         if self.terminal == 1:
@@ -76,24 +76,45 @@ class Handle:
         return f"<Handle {self.uid}: x{self.var} -> {self.low.uid}/{self.high.uid}>"
 
 
-class _Op:
-    """One memoized operation of a manager: its memo table and counters."""
+class _Pool(_engine.Arena):
+    """One manager's engine arena, from one ``reset`` to the next, and the
+    handles made of its refs, kept so that ``is`` holds between the handles
+    of one node.  A node handle holds the pool, so the two hold each other
+    until ``retire``; the leaves hold no pool."""
 
-    __slots__ = ("kind", "memo", "hits", "misses")
+    __slots__ = ("tag", "leaves", "handles")
 
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.memo: dict = {}
-        self.hits = self.misses = 0
+    def __init__(self, tag: int):
+        super().__init__()
+        self.tag = tag
+        self.leaves = (
+            Handle(1, 0, 1, tag, LEAF_TRUE, None),
+            Handle(2, 0, 0, tag, LEAF_FALSE, None),
+        )
+        self.retire()
+
+    def retire(self) -> None:
+        """Drop the node handles made so far, so that a pool no manager
+        uses is freed without the cyclic collector once no handle holds it."""
+        self.handles = {leaf._ref: leaf for leaf in self.leaves}
+
+    def handle(self, ref) -> Handle:
+        """The handle of ``ref``, a leaf or an arena id."""
+        made = self.handles.get(ref)
+        if made is None:
+            var = self.cells[ref - 1][1]
+            made = self.handles[ref] = Handle(ref + 2, var, -1, self.tag, ref, self)
+        return made
 
 
 class ManagerBase:
     """The manager methods off the hot path, written once for both kernels.
 
-    A kernel provides the leaves ``true``/``false``, the unique table
-    ``_unique``, ``_memos`` (a fixed dict from operation name to memo
-    table), one readable counter per name in ``core.STAT_KEYS``, ``IMPL``
-    and the hot methods ``node``, ``neg``, ``apply_binop`` and ``reset``.
+    A kernel provides the leaves ``true``/``false``, ``_memos`` (a dict
+    from operation name to memo table, keyed by uids), one readable
+    counter per name in ``core.STAT_KEYS``, ``IMPL`` and the hot methods
+    ``node``, ``neg``, ``apply_binop`` and ``reset``, and the C kernel its
+    unique table ``_unique``; the Python kernel reads its arena instead.
     """
 
     __slots__ = ()
@@ -149,19 +170,20 @@ class Manager(ManagerBase):
     """
 
     IMPL = "python"
+    _pool = None
 
     def __init__(self):
-        self._unique: dict[tuple[int, int, int], Handle] = {}
-        self._ops = {kind: _Op(kind) for kind in OPS}
-        self._not = self._ops["not"]
-        self._memos = {kind: op.memo for kind, op in self._ops.items()}
         self.reset()
 
-    # -- construction -------------------------------------------------
+    def __del__(self):
+        # a pool and its node handles hold each other (see ``_Pool``)
+        if self._pool is not None:
+            self._pool.retire()
 
     def node(self, var: int, low: Handle, high: Handle) -> Handle:
         """Reducing, hash-consing constructor for a decision node."""
-        tag = self._tag
+        pool = self._pool
+        tag = pool.tag
         if type(var) is not int or var < 1:
             check_var(var)
         if type(low) is not Handle or low.tag != tag:
@@ -172,41 +194,13 @@ class Manager(ManagerBase):
             raise OrderViolation(f"child variable x{low.var} is not below x{var}")
         if high.terminal < 0 and high.var <= var:
             raise OrderViolation(f"child variable x{high.var} is not below x{var}")
-        lu, hu = low.uid, high.uid
-        if lu == hu:
-            return low
-        key = (var, lu, hu)
-        found = self._unique.get(key)
-        if found is not None:
-            self.intern_hits += 1
-            return found
-        self.intern_misses += 1
-        made = Handle(self._next_uid, var, low, high, -1, tag)
-        self._next_uid += 1
-        self._unique[key] = made
-        return made
-
-    # -- operations ----------------------------------------------------
+        return pool.handle(_engine.mk(pool, low._ref, var, high._ref))
 
     def neg(self, a: Handle) -> Handle:
         """Pointwise complement, memoized per node."""
         self._check_owned(a)
-        return self._neg_rec(a)
-
-    def _neg_rec(self, a: Handle) -> Handle:
-        t = a.terminal
-        if t >= 0:
-            return self.false if t == 1 else self.true
-        u = a.uid
-        op = self._not
-        found = op.memo.get(u)
-        if found is not None:
-            op.hits += 1
-            return found
-        op.misses += 1
-        made = self.node(a.var, self._neg_rec(a.low), self._neg_rec(a.high))
-        op.memo[u] = made
-        return made
+        pool = self._pool
+        return pool.handle(_engine.neg(pool, a._ref))
 
     def apply_binop(self, op: str, a: Handle, b: Handle) -> Handle:
         """Pointwise and/or/xor via Shannon expansion, memoized on uid pairs."""
@@ -214,70 +208,60 @@ class Manager(ManagerBase):
         self._check_owned(b)
         if op not in BINOPS:
             raise ValueError(f"unknown operation {op!r}")
-        return self._apply_rec(self._ops[op], a, b)
-
-    def _apply_rec(self, op: _Op, a: Handle, b: Handle) -> Handle:
-        au, bu = a.uid, b.uid
-        if au == bu:
-            return self.false if op.kind == "xor" else a
-        at, bt = a.terminal, b.terminal
-        if at >= 0 or bt >= 0:
-            kind = op.kind
-            if kind == "and":
-                if at == 0 or bt == 0:
-                    return self.false
-                return b if at == 1 else a
-            if kind == "or":
-                if at == 1 or bt == 1:
-                    return self.true
-                return b if at == 0 else a
-            # xor: false is its identity; against true it is negation,
-            # which the not-cache carries
-            if at == 0:
-                return b
-            if bt == 0:
-                return a
-            return self._neg_rec(b) if at == 1 else self._neg_rec(a)
-        key = (au, bu)
-        found = op.memo.get(key)
-        if found is not None:
-            op.hits += 1
-            return found
-        op.misses += 1
-        av, bv = a.var, b.var
-        if av == bv:
-            low = self._apply_rec(op, a.low, b.low)
-            high = self._apply_rec(op, a.high, b.high)
-        elif av < bv:
-            low = self._apply_rec(op, a.low, b)
-            high = self._apply_rec(op, a.high, b)
-        else:
-            av = bv
-            low = self._apply_rec(op, a, b.low)
-            high = self._apply_rec(op, a, b.high)
-        made = self.node(av, low, high)
-        op.memo[key] = made
-        return made
+        pool = self._pool
+        return pool.handle(_engine.apply(pool, op, a._ref, b._ref))
 
     def reset(self) -> None:
         """Empty the pool and caches; previously issued handles are dead."""
-        self._tag = next(_manager_ids)
-        self._unique.clear()
-        self.intern_hits = self.intern_misses = 0
-        for op in self._ops.values():
+        self.__del__()  # retire the pool this one replaces
+        self._pool = pool = _Pool(next(_manager_ids))
+        self.true, self.false = pool.leaves
+
+    # -- views of the arena for ``ManagerBase`` and the validator ------
+
+    def pool_size(self) -> int:
+        return 2 + len(self._pool.cells)
+
+    def iter_pool(self) -> Iterator[Handle]:
+        # every id of the arena, so a pool that holds a node twice shows it
+        pool = self._pool
+        ids = range(1, len(pool.cells) + 1)
+        return iter([self.true, self.false, *map(pool.handle, ids)])
+
+    @property
+    def _memos(self) -> dict[str, Mapping]:
+        return {kind: _MemoView(self, kind) for kind in OPS}
+
+    def clear_caches(self) -> None:
+        """Drop all memo tables (the pool is untouched)."""
+        for op in self._pool.ops.values():
             op.memo.clear()
-            op.hits = op.misses = 0
-        self.true = Handle(1, 0, None, None, 1, self._tag)
-        self.false = Handle(2, 0, None, None, 0, self._tag)
-        self._next_uid = 3
 
 
-def _counter(kind: str, field: str) -> property:
-    return property(lambda m: getattr(m._ops[kind], field))
+class _MemoView(Mapping):
+    """Live read-only view of one memo table of a manager's arena, with the
+    C kernel's keys (a uid, or a pair of uids) and handle values."""
+
+    def __init__(self, m: Manager, kind: str):
+        self._m, self._kind = m, kind
+
+    def _memo(self) -> dict:
+        return self._m._pool.ops[self._kind].memo
+
+    def __len__(self) -> int:
+        return len(self._memo())
+
+    def __iter__(self):
+        if self._kind == "not":
+            return (k + 2 for k in self._memo())
+        return ((a + 2, b + 2) for a, b in self._memo())
+
+    def __getitem__(self, key):
+        ref = key - 2 if self._kind == "not" else (key[0] - 2, key[1] - 2)
+        return self._m._pool.handle(self._memo()[ref])
 
 
-# the per-operation counters stay readable as ``not_hits``, ``and_misses``, ...
-for _kind in OPS:
-    setattr(Manager, f"{_kind}_hits", _counter(_kind, "hits"))
-    setattr(Manager, f"{_kind}_misses", _counter(_kind, "misses"))
-del _kind
+# the counters stay readable as ``intern_hits``, ``not_hits``, ``and_misses``, ...
+for _key in STAT_KEYS:
+    setattr(Manager, _key, property(lambda m, key=_key: m._pool.stats[key]))
+del _key

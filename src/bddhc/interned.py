@@ -2,8 +2,9 @@
 
 Handles carry unique identifiers, so equality of functions is one integer
 comparison.  The hot path (node construction, the memoized operations and
-``reset``) exists twice: in the hand-written C extension ``_speedups`` and
-in the Python kernel ``_pykernel``, with identical observable behavior.
+``reset``) exists twice, with identical observable behavior: in the
+hand-written C extension ``_speedups``, and in the Python kernel
+``_pykernel``, whose handles are views of arena ids of ``_engine``.
 Every other manager method is written once, in ``_pykernel.ManagerBase``,
 which both kernels' manager classes inherit.  :func:`new_manager` uses
 the C kernel when it is built, and ``kernel=`` picks one explicitly.

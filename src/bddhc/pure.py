@@ -8,16 +8,12 @@ monotonicity tests rely on.
 
 Representation
 ==============
-A store is a small immutable record pointing into an append-only arena:
-
-* ``cells`` -- list of decision nodes; node id ``i`` lives at ``cells[i-1]``.
-* ``hmap``  -- dict from node triple to its id (the hash-consing map).
-* one memo dict per operation; ``_MEMO_TABLES`` lists them.
-
-A store value carries ``count`` (how many arena slots it can see) and
-``next`` (the next fresh id), with ``count >= next - 1``: every version
-sees a prefix of its arena.  The arena itself keeps the ``next`` and
-``max_var`` of its newest version, the one that sees every slot.  An
+A store is a small immutable record pointing into an append-only arena
+of the Python engine (``_engine.Arena``: node id ``i`` at ``cells[i-1]``,
+the hash-consing map, one memo table per operation).  A store value
+carries ``count`` (how many arena slots it can see) and ``next`` (the
+next fresh id), with ``count >= next - 1``: every version sees a prefix
+of its arena, and the newest version sees every slot.  An
 operation on the newest version extends the arena in place, O(1); one on
 any older version works on a clone of what that version sees, so earlier
 versions are never disturbed.  Nodes and hash-consing entries added by
@@ -32,11 +28,8 @@ version depend on what newer versions computed.
 
 That visibility rule (a leaf, or an id ``<= count``) is written once, in
 ``_visible``.  As in the paper's record of finite maps, a version hands
-out its tables as plain dicts: ``Store.graph`` (id -> node),
-``Store.hmap`` and the four ``Store.memo`` tables each return a new dict
-of the entries whose value and key ids the version sees.  Cloning,
-validation and serialization read those dicts; operations never apply
-the rule (see Hot path).
+out its tables as new plain dicts of what it sees (``Store.graph``,
+``hmap``, ``memo``); operations never apply the rule (see Hot path).
 
 Code that only reads a finished diagram (size, denotation, the memo
 semantics check, the oracle, model counting, mirroring into a manager)
@@ -49,35 +42,28 @@ Hot path
 The store is threaded at the API only.  Pristine extracted code would
 return a new version from every recursive call; the paper contrasts that
 with code fine-tuned with constructs Coq lacks, and this module uses the
-fine-tuned form inside one operation.  ``mk_node``, ``neg`` and
-``apply_binop`` each run through ``_operate``, which gives the operation
-an arena holding only what its input version sees: the version's own
-arena, under that arena's lock from start to end, when the version is
-the newest; otherwise a private clone of the version.  So an operation on
-an older version pays one copy of that version even when it allocates
-nothing, and a clone it does not extend is dropped with what it memoized.
-The operation advances that arena in place (its cells, ``next`` and
-``max_var``), its recursions return refs only, and one ``Store`` is built
-when it returns: the input store itself when nothing was allocated.
-Nothing in the arena is hidden from the operation, so hash-consing and
-memo hits need no visibility test and ``_alloc`` just appends.  An
-operation that fails in its input version's own arena puts the arena
+fine-tuned form inside one operation: the engine (``_engine.mk``, ``neg``
+and ``apply``, which the Python kernel runs too) advances an arena in
+place and returns a ref, and one ``Store`` is built at the end, the input
+store itself when nothing was allocated.  ``_operate`` gives the engine
+an arena holding only what the input version sees, so hash-consing and
+memo hits need no visibility test: the version's own arena, under its
+lock, when the version is the newest, and otherwise a private clone,
+which an operation that allocates nothing pays for and drops with what it
+memoized.  An operation that fails in the version's own arena puts it
 back to that version before the error propagates (``_restore``), so the
-version stays the newest and later operations on it still run in place.
+version stays the newest.
 
 An arena is checked once, when ``store_from_parts`` builds it (the
-loader builds through it): only there can a cell break a rule that
-``mk_node`` enforces.  The first violation ``validate_store`` finds stays
-on the arena and its copies, and ``_operate`` refuses every operation on
-them with ``CorruptStore``.  In every other arena each child is present
-and below its parent in id and in the variable order, so the recursions
-carry no budget, test no id and call ``_mk``, the constructor without
-checks.  Arguments are outside input: ``mk_node`` checks its variable and
-children, and ``neg`` and ``apply_binop`` their operands
+loader builds through it): only there can a cell or a memo entry break a
+rule that the engine keeps.  The first violation ``validate_store`` finds
+stays on the arena and its copies, and ``_operate`` refuses every
+operation on them with ``CorruptStore``.  In every other arena each child
+is present and below its parent in id and in the variable order, and each
+memo result tests no variable above its operands', so the engine checks
+nothing.  Arguments are outside input: ``mk_node`` checks its variable
+and children, and ``neg`` and ``apply_binop`` their operands
 (``_check_operand``), each fault with its own exception and message.
-``core.Leaf`` hashes by identity, so hashing a node triple with a leaf
-child stays in C, and the hash-consing map is probed with a plain tuple,
-which hashes and compares like its ``Node``.
 
 Serialization
 =============
@@ -100,7 +86,7 @@ from __future__ import annotations
 import threading
 from typing import Mapping, NamedTuple, Optional
 
-from . import graph
+from . import _engine, graph
 from .core import (
     BINOPS,
     LEAF_FALSE,
@@ -113,64 +99,45 @@ from .core import (
     Node,
     NodeRef,
     OrderViolation,
-    STAT_KEYS,
     ValidationReport,
     check_var,
     parse_decimal,
 )
 
-# operation -> (``_Shared`` attribute, key arity) of each memo table, in the
-# order validation reports them; binary keys are id pairs, ``not`` keys one id
+# operation -> (view name, key arity) of each memo table, in the order
+# validation reports them; binary keys are id pairs, ``not`` keys one id
 _MEMO_TABLES = {**{op: ("m" + op, 2) for op in BINOPS}, "not": ("mneg", 1)}
 
-# memo table attribute of ``_Shared`` and the hit/miss counter keys, per op
-_BINOP_KEYS = {
-    op: (_MEMO_TABLES[op][0], op + "_hits", op + "_misses") for op in BINOPS
-}
 
+class _Shared(_engine.Arena):
+    """The engine arena shared by every version of one store lineage.
 
-class _Shared:
-    """Append-only arena shared by every version of one store lineage.
-
-    Every version sees a prefix of ``cells``.  The newest version sees all
-    of it: its ``count`` is ``len(cells)``, and ``next`` and ``max_var``
-    here are its own.  Only an operation on the newest version writes to
-    the arena, and it holds ``lock`` from start to end; every other
-    operation runs on a clone (``_operate``).  Reads need no lock: a slot
-    a version sees is never reassigned, and reads of the dict tables go
-    through ``dict.copy``, which the GIL makes atomic.  The stats counters
-    are instrumentation: they count the work done in this arena.
-    ``defect`` is the message of the first violation ``store_from_parts``
-    found in the arena it built, or None; operations refuse the arena
-    when it is set.
+    Only an operation on the newest version writes to it, holding ``lock``
+    from start to end (``_operate``).  Reads need no lock: a slot a version
+    sees is never reassigned, and reads of the dict tables go through
+    ``dict.copy``, which the GIL makes atomic.  ``defect`` is the message
+    of the first violation ``store_from_parts`` found in the arena it
+    built, or None.  Memo tables also read as ``mand``, ..., ``mneg``.
     """
 
-    __slots__ = (
-        "cells", "hmap", *(attr for attr, _ in _MEMO_TABLES.values()),
-        "next", "max_var", "lock", "stats", "defect",
-    )
+    __slots__ = ("lock", "defect")
 
     def __init__(self) -> None:
-        self.cells: list[Optional[Node]] = []
-        self.hmap: dict[Node, int] = {}
-        for attr, _ in _MEMO_TABLES.values():
-            setattr(self, attr, {})
-        self.next = 1
-        self.max_var = 0
+        super().__init__()
         self.lock = threading.Lock()
-        self.stats = dict.fromkeys(STAT_KEYS, 0)
         self.defect: Optional[str] = None
+
+
+for _op, (_name, _) in _MEMO_TABLES.items():
+    setattr(_Shared, _name, property(lambda sh, op=_op: sh.ops[op].memo))
+del _op, _name
 
 
 def _visible(ref: NodeRef, count: int) -> bool:
     """Whether a version that sees ``count`` arena slots sees ``ref``.
 
     Leaves are always visible.  Every version has ``count >= next - 1``,
-    so this one bound also covers every id below ``next``.  The code that
-    reads a version applies this rule: its views, and through them the
-    clone, the validator and the serializer.  Operations need no test,
-    because each runs on an arena that holds only what its input version
-    sees (``_operate``).
+    so this one bound also covers every id below ``next``.
     """
     return type(ref) is Leaf or ref <= count
 
@@ -186,24 +153,25 @@ class Store(NamedTuple):
     ``hmap`` and ``memo``.  Each read returns new dicts of what this
     version sees: they are the caller's own, so writing to one leaves the
     store as it was, and a held ``memo`` does not show entries that later
-    operations add.  ``next`` is the next fresh node id.
+    operations add, and their nodes are ``Node`` values.  ``next`` is the
+    next fresh node id.
     """
 
     shared: _Shared
     count: int
     next: int
-    max_var: int
 
     @property
     def graph(self) -> dict[int, Node]:
         """The visible cells as an id -> Node dict, in id order."""
         cells = self.shared.cells[: self.count]
-        return {i: node for i, node in enumerate(cells, 1) if node is not None}
+        return {i: Node._make(c) for i, c in enumerate(cells, 1) if c is not None}
 
     @property
     def hmap(self) -> dict[Node, int]:
         """The visible hash-consing entries, node -> id."""
-        return _visible_entries(self, self.shared.hmap, 0)
+        entries = _visible_entries(self, self.shared.hmap, 0)
+        return {Node._make(k): v for k, v in entries.items()}
 
     @property
     def memo(self) -> Memo:
@@ -245,7 +213,7 @@ def _visible_entries(st: Store, table: dict, arity: int) -> dict:
 
 def empty_store() -> Store:
     """A fresh store: no nodes, empty maps, next id 1."""
-    return Store(_Shared(), 0, 1, 0)
+    return Store(_Shared(), 0, 1)
 
 
 def store_from_parts(
@@ -286,11 +254,9 @@ def store_from_parts(
     sh.hmap = dict(hmap)
     # the memo keywords come in ``_MEMO_TABLES`` order
     memo = (memo_and, memo_or, memo_xor, memo_neg)
-    for (attr, _), table in zip(_MEMO_TABLES.values(), memo):
-        setattr(sh, attr, dict(table or {}))
-    max_var = max((n.var for n in graph.values()), default=0)
-    st = Store(sh, count, next_id, max_var)
-    st = Store(_clone_shared(st), count, next_id, max_var)
+    for op, table in zip(_MEMO_TABLES, memo):
+        sh.ops[op].memo = dict(table or {})
+    st = Store(_clone_shared(Store(sh, count, next_id)), count, next_id)
     report = validate_store(st)
     if not report.ok:
         st.shared.defect = report.violations[0].message
@@ -304,43 +270,44 @@ def clear_memo(st: Store) -> Store:
     can observe the other's future memoization.
     """
     sh = _clone_shared(st, copy_memo=False)
-    return Store(sh, st.count, st.next, st.max_var)
+    return Store(sh, st.count, st.next)
 
 
 def _clone_shared(st: Store, copy_memo: bool = True) -> _Shared:
     """Private copy of the prefix of the arena that ``st`` can see, with
     the arena's counters and defect."""
-    sh = _Shared()
-    sh.stats = st.shared.stats.copy()
-    sh.defect = st.shared.defect
+    sh, src = _Shared(), st.shared
+    sh.intern_hits, sh.intern_misses = src.intern_hits, src.intern_misses
+    for op, record in src.ops.items():
+        sh.ops[op].hits, sh.ops[op].misses = record.hits, record.misses
+    sh.defect = src.defect
     return _restore(sh, st, copy_memo)
 
 
 def _restore(sh: _Shared, st: Store, copy_memo: bool = True) -> _Shared:
     """Make ``st`` the newest version of ``sh``, filling ``sh`` from what
-    ``st`` sees: its tables, then ``next`` and ``max_var``, then the cells.
+    ``st`` sees: its tables, then the cells.
 
     The cells go last, so an interrupted restore leaves ``len(sh.cells)``
     different from ``st.count``, and operations on ``st`` then clone it.
     """
-    sh.hmap = st.hmap
+    src = st.shared
+    sh.hmap = _visible_entries(st, src.hmap, 0)
     if copy_memo:
-        for attr, table in st.memo._asdict().items():
-            setattr(sh, attr, table)
-    sh.next, sh.max_var = st.next, st.max_var
-    sh.cells = st.shared.cells[: st.count]
+        for op, (_, arity) in _MEMO_TABLES.items():
+            sh.ops[op].memo = _visible_entries(st, src.ops[op].memo, arity)
+    sh.cells = src.cells[: st.count]
     return sh
 
 
 def store_stats(st: Store) -> dict[str, int]:
-    """Snapshot of interning and memo hit/miss counters.
+    """Snapshot of the arena's interning and memo hit/miss counters.
 
-    Counters are instrumentation attached to the arena, not part of the
-    store value: they count work done in this lineage, for reports and
-    complexity tests.  An operation on an older version counts in its
-    clone, which is dropped if the operation allocates nothing.
+    They count the work done in this lineage, not the store value; an
+    operation on an older version counts in its clone, which is dropped
+    if the operation allocates nothing.
     """
-    return st.shared.stats.copy()
+    return st.shared.stats
 
 
 def node_count(st: Store) -> int:
@@ -349,16 +316,14 @@ def node_count(st: Store) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Allocation
+# Operations
 
 
 def _operate(st: Store, body, *args) -> tuple[NodeRef, Store]:
-    """``body(arena, *args)`` with the version it reaches, run on an arena
-    whose newest version is ``st``: the arena of ``st``, under its lock
-    until the operation ends, if ``st`` is already its newest version, and
-    otherwise a private clone of ``st``.  An operation that fails in the
-    arena of ``st`` restores it to ``st`` before the error propagates.  An
-    arena with a defect is refused before anything runs.
+    """``body(arena, *args)`` and the version it reaches, run on the arena
+    of ``st`` under its lock if ``st`` is its newest version (restored to
+    ``st`` if the body fails), and otherwise on a private clone of ``st``.
+    An arena with a defect is refused before anything runs.
     """
     sh = st.shared
     if sh.defect is not None:
@@ -382,25 +347,12 @@ def _operate(st: Store, body, *args) -> tuple[NodeRef, Store]:
 
 def _reached(st: Store, sh: _Shared) -> Store:
     """The newest version of ``sh`` after an operation on ``st``: ``st``
-    itself if nothing was allocated."""
-    if sh.next == st.next:
+    itself if nothing was allocated.  The engine numbers a new node by its
+    slot, so the next fresh id is one past the arena."""
+    count = len(sh.cells)
+    if count == st.count:
         return st
-    return Store(sh, len(sh.cells), sh.next, sh.max_var)
-
-
-def _alloc(sh: _Shared, node: Node) -> int:
-    """Append ``node`` with the fresh id ``sh.next`` and advance the arena."""
-    node_id = sh.next
-    sh.cells.append(node)
-    sh.hmap[node] = node_id
-    sh.next = node_id + 1
-    if node.var > sh.max_var:
-        sh.max_var = node.var
-    return node_id
-
-
-# ---------------------------------------------------------------------------
-# Operations
+    return Store(sh, count, count + 1)
 
 
 def mk_node(st: Store, low: NodeRef, var: int, high: NodeRef) -> tuple[NodeRef, Store]:
@@ -430,25 +382,11 @@ def mk_node(st: Store, low: NodeRef, var: int, high: NodeRef) -> tuple[NodeRef, 
         node = cells[child - 1]
         if node is None:
             raise DanglingRef(f"child id {child} has no graph entry")
-        if node.var <= var:
+        if node[1] <= var:
             raise OrderViolation(
-                f"child {child} has variable x{node.var}, not below x{var}"
+                f"child {child} has variable x{node[1]}, not below x{var}"
             )
-    return _operate(st, _mk, low, var, high)
-
-
-def _mk(sh: _Shared, low: NodeRef, var: int, high: NodeRef) -> NodeRef:
-    """``mk_node`` in an arena, without checks: the collapse, a hit or an
-    allocation."""
-    if low == high:
-        return low
-    # a plain tuple hashes and compares like the ``Node`` it would become
-    node_id = sh.hmap.get((low, var, high))
-    if node_id is not None:
-        sh.stats["intern_hits"] += 1
-        return node_id
-    sh.stats["intern_misses"] += 1
-    return _alloc(sh, Node(low, var, high))
+    return _operate(st, _engine.mk, low, var, high)
 
 
 def eq(a: NodeRef, b: NodeRef) -> bool:
@@ -474,25 +412,7 @@ def _check_operand(st: Store, ref: NodeRef) -> None:
 def neg(st: Store, ref: NodeRef) -> tuple[NodeRef, Store]:
     """Complement: the result denotes the pointwise negation of ``ref``."""
     _check_operand(st, ref)
-    return _operate(st, _neg_rec, ref)
-
-
-def _neg_rec(sh: _Shared, ref: NodeRef) -> NodeRef:
-    if ref is LEAF_TRUE:
-        return LEAF_FALSE
-    if ref is LEAF_FALSE:
-        return LEAF_TRUE
-    hit = sh.mneg.get(ref)
-    if hit is not None:
-        sh.stats["not_hits"] += 1
-        return hit
-    sh.stats["not_misses"] += 1
-    low, var, high = sh.cells[ref - 1]
-    low = _neg_rec(sh, low)
-    high = _neg_rec(sh, high)
-    result = _mk(sh, low, var, high)
-    sh.mneg[ref] = result
-    return result
+    return _operate(st, _engine.neg, ref)
 
 
 def apply_binop(st: Store, op: str, a: NodeRef, b: NodeRef) -> tuple[NodeRef, Store]:
@@ -506,57 +426,7 @@ def apply_binop(st: Store, op: str, a: NodeRef, b: NodeRef) -> tuple[NodeRef, St
         raise ValueError(f"unknown operation {op!r}")
     _check_operand(st, a)
     _check_operand(st, b)
-    return _operate(st, _apply_rec, op, a, b)
-
-
-def _apply_rec(sh: _Shared, op: str, a: NodeRef, b: NodeRef) -> NodeRef:
-    if a == b:
-        return LEAF_FALSE if op == "xor" else a
-    if op == "and":
-        if a is LEAF_FALSE or b is LEAF_FALSE:
-            return LEAF_FALSE
-        if a is LEAF_TRUE:
-            return b
-        if b is LEAF_TRUE:
-            return a
-    elif op == "or":
-        if a is LEAF_TRUE or b is LEAF_TRUE:
-            return LEAF_TRUE
-        if a is LEAF_FALSE:
-            return b
-        if b is LEAF_FALSE:
-            return a
-    else:
-        if a is LEAF_FALSE:
-            return b
-        if b is LEAF_FALSE:
-            return a
-        # xor against true is negation; mneg carries the memoization
-        if a is LEAF_TRUE:
-            return _neg_rec(sh, b)
-        if b is LEAF_TRUE:
-            return _neg_rec(sh, a)
-    table, hits, misses = _BINOP_KEYS[op]
-    key = (a, b)
-    memo = getattr(sh, table)
-    hit = memo.get(key)
-    if hit is not None:
-        sh.stats[hits] += 1
-        return hit
-    sh.stats[misses] += 1
-    cells = sh.cells
-    a_low, var, a_high = cells[a - 1]
-    b_low, var_b, b_high = cells[b - 1]
-    if var < var_b:
-        b_low = b_high = b
-    elif var_b < var:
-        var = var_b
-        a_low = a_high = a
-    low = _apply_rec(sh, op, a_low, b_low)
-    high = _apply_rec(sh, op, a_high, b_high)
-    result = _mk(sh, low, var, high)
-    memo[key] = result
-    return result
+    return _operate(st, _engine.apply, op, a, b)
 
 
 def expander(st: Store):
@@ -649,6 +519,9 @@ def validate_store(st: Store, check_memo_semantics: bool = False) -> ValidationR
         if len(ids) > 1:
             report.add("no-duplicates", f"node {node} allocated at ids {sorted(ids)}")
 
+    # a result tests no variable above its operands' top variables: the
+    # recursions build on a memo hit as on a node they made, so an entry
+    # that breaks this would break the variable order of the arena
     memo = st.memo
     for name, arity in _MEMO_TABLES.values():
         for key, value in getattr(memo, name).items():
@@ -658,10 +531,20 @@ def validate_store(st: Store, check_memo_semantics: bool = False) -> ValidationR
                     report.add(
                         "memo-domain", f"{name} key {key} references unknown id {i}"
                     )
-            if not isinstance(value, Leaf) and value not in graph:
+            if isinstance(value, Leaf):
+                continue
+            if value not in graph:
                 report.add(
                     "memo-domain", f"{name}[{key}] = {value} references unknown id"
                 )
+            elif all(i in graph for i in ids):
+                top = min(graph[i].var for i in ids)
+                if graph[value].var < top:
+                    report.add(
+                        "memo-order",
+                        f"{name}[{key}] = {value} is labeled x{graph[value].var}, "
+                        f"above its operands' top variable x{top}",
+                    )
 
     if check_memo_semantics and not report.violations:
         _check_memo_semantics(st, report)

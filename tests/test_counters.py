@@ -7,7 +7,8 @@ backends count the same work.
 import hashlib
 import random
 
-from bddhc import frontend, interned, pure
+from bddhc import _engine, frontend, interned, pure
+from bddhc.core import LEAF_TRUE, Ref, postorder
 
 QUEENS_5 = {
     "stats": {
@@ -34,9 +35,10 @@ RANDOM_PAIR_XOR = {
     "memo": {"not": 149, "and": 307, "or": 242, "xor": 215},
 }
 
-# every ``node`` call of the Python kernel, in order, over queens 5, then
-# 200 random_formula(Random(5), max_var=8, max_depth=9), then the xor of
-# each consecutive pair of those 200, all in one manager
+# every constructor call of the Python kernel, public ``node`` and the
+# recursions' alike, in order, over queens 5, then 200
+# random_formula(Random(5), max_var=8, max_depth=9), then the xor of each
+# consecutive pair of those 200, all in one manager
 NODE_CALL_LOG = {"calls": 56917, "sha256": "e6949eb908ac59c3"}
 
 # the pure store after the same sequence as NODE_CALL_LOG, in one store:
@@ -94,12 +96,12 @@ def test_random_pair_xor_counters_are_pinned(kernel):
     assert _interned_facts(_random_pair(), True, kernel) == RANDOM_PAIR_XOR
 
 
-def test_python_kernel_recursion_calls_instance_node_and_neg():
-    """A counting wrapper set on the instance sees every constructor call.
+def test_python_kernel_counts_public_calls_only():
+    """A counting wrapper set on the instance sees the public calls only.
 
-    perfbench's tracer shadows ``node``/``neg`` with instance attributes
-    and relies on the Python kernel's recursions looking ``self.node`` up
-    at call time; ``neg`` is only entered from outside the recursion.
+    perfbench's tracer shadows ``node``/``neg`` with instance attributes;
+    the recursions build through the engine, never through the instance,
+    so the ``node`` calls it sees are the compiler's variable nodes.
     """
     m = interned.new_manager("python")
     calls = {"node": 0, "neg": 0}
@@ -113,8 +115,11 @@ def test_python_kernel_recursion_calls_instance_node_and_neg():
 
     m.node = counting("node", m.node)
     m.neg = counting("neg", m.neg)
-    frontend.compile_interned(frontend.queens_formula(5), m)
-    assert calls == {"node": 6084, "neg": 160}
+    f = frontend.queens_formula(5)
+    frontend.compile_interned(f, m)
+    variables = sum(type(g) is Ref for g in postorder(f))
+    assert calls == {"node": variables, "neg": 160}
+    assert variables == 345
     assert m.stats() == QUEENS_5["stats"]
 
 
@@ -124,21 +129,29 @@ def test_counter_attributes_match_stats(kernel):
     assert {k: getattr(m, k) for k in m.stats()} == m.stats()
 
 
-def test_python_kernel_node_call_order_is_pinned():
-    """Uids and counters only pin totals; this pins each constructor call."""
+def _uid(ref):
+    # the kernel's uid of an arena ref: the leaves are 1 and 2, then id + 2
+    if type(ref) is int:
+        return ref + 2
+    return 1 if ref is LEAF_TRUE else 2
+
+
+def test_python_kernel_node_call_order_is_pinned(monkeypatch):
+    """Uids and counters only pin totals; this pins each constructor call,
+    logged by wrapping the engine's constructor."""
     m = interned.new_manager("python")
     digest = hashlib.sha256()
     calls = 0
-    node = m.node
+    mk = _engine.mk
 
-    def logged(var, low, high):
+    def logged(arena, low, var, high):
         nonlocal calls
-        made = node(var, low, high)
-        digest.update(f"{var},{low.uid},{high.uid},{made.uid}\n".encode())
+        made = mk(arena, low, var, high)
+        digest.update(f"{var},{_uid(low)},{_uid(high)},{_uid(made)}\n".encode())
         calls += 1
         return made
 
-    m.node = logged
+    monkeypatch.setattr(_engine, "mk", logged)
     frontend.compile_interned(frontend.queens_formula(5), m)
     rng = random.Random(5)
     handles = [

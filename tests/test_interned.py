@@ -22,7 +22,7 @@ from bddhc.core import (
 )
 import bddhc
 from bddhc import frontend, graph, interned, oracle, pure
-from bddhc._pykernel import Handle as PyHandle, Manager as PyManager
+from bddhc._pykernel import Manager as PyManager
 
 from util import UnreducedManager, gen_trace, play_interned, play_pure
 
@@ -356,17 +356,21 @@ def test_validate_after_random_trace(manager):
     assert interned.validate_manager(manager, check_cache_semantics=True).ok
 
 
+# the Python kernel's faults are planted in its engine arena, where node
+# uid = arena id + 2
+
+
 def test_validate_detects_duplicate_pool_shapes():
     m = PyManager()
     h = m.node(1, m.false, m.true)
-    clone = PyHandle(99, h.var, h.low, h.high, -1, h.tag)
-    m._unique[("backdoor", 0, 0)] = clone
+    arena = m._pool
+    arena.cells.append(arena.cells[h.uid - 3])  # the same node at a new id
     assert "pool-unique" in interned.validate_manager(m).codes()
 
 
 def test_validate_detects_dead_cache_entries():
     m = PyManager()
-    m.memo_entries()["not"][123] = m.true
+    m._pool.ops["not"].memo[123 - 2] = LEAF_TRUE
     assert "cache-liveness" in interned.validate_manager(m).codes()
 
 
@@ -374,7 +378,7 @@ def test_validate_detects_wrong_cache_semantics():
     m = PyManager()
     a = m.node(1, m.false, m.true)
     b = m.node(2, m.false, m.true)
-    m.memo_entries()["and"][(a.uid, b.uid)] = m.true
+    m._pool.ops["and"].memo[(a.uid - 2, b.uid - 2)] = LEAF_TRUE
     assert interned.validate_manager(m).ok
     report = interned.validate_manager(m, check_cache_semantics=True)
     assert "cache-semantics" in report.codes()
@@ -452,6 +456,23 @@ def test_kernels_agree_on_uids_and_stats():
         assert [h.uid for h in hp] == [h.uid for h in hc]
         assert mp.stats() == mc.stats()
         assert mp.pool_size() == mc.pool_size()
+        assert _uid_tables(mp) == _uid_tables(mc)
+        assert _pool_shapes(mp) == _pool_shapes(mc)
+
+
+def _uid_tables(m):
+    """Each memo table as keys -> value uid, in the kernel's order."""
+    return {
+        op: list((key, value.uid) for key, value in table.items())
+        for op, table in m.memo_entries().items()
+    }
+
+
+def _pool_shapes(m):
+    return [
+        (h.uid, h.terminal, h.var, h.low and h.low.uid, h.high and h.high.uid)
+        for h in m.iter_pool()
+    ]
 
 
 def test_pure_store_agrees_with_kernel(kernel):
@@ -499,6 +520,42 @@ def test_reset_invalidates_old_handles(manager):
     assert manager.pool_size() == 2
     with pytest.raises(ForeignHandle):
         manager.neg(h)
+
+
+def test_handle_kept_across_reset_keeps_its_fields(manager):
+    h = frontend.compile_interned(frontend.parse("x1 & (x2 | !x3)"), manager)
+    before = sorted(
+        (x.uid, x.terminal, x.var, x.low and x.low.uid, x.high and x.high.uid)
+        for x, _ in graph.walk(h, interned.expand)
+    )
+    low, high = h.low, h.high
+    manager.reset()
+    # a new pool numbers its nodes from 3 again, with other children
+    frontend.compile_interned(frontend.parse("x4 ^ x1"), manager)
+    after = sorted(
+        (x.uid, x.terminal, x.var, x.low and x.low.uid, x.high and x.high.uid)
+        for x, _ in graph.walk(h, interned.expand)
+    )
+    assert after == before
+    assert (h.var, h.low.uid, h.high.uid) == (1, low.uid, high.uid)
+    for call in (
+        lambda: manager.neg(h),
+        lambda: manager.node(1, h.high, manager.true),
+        lambda: manager.apply_binop("and", h, manager.true),
+    ):
+        with pytest.raises(ForeignHandle):
+            call()
+
+
+def test_double_negation_is_the_same_handle(manager):
+    a = frontend.compile_interned(frontend.parse("(x1 ^ x2) | x3"), manager)
+    not_a = manager.neg(a)
+    assert manager.neg(not_a) is a
+    assert manager.neg(manager.neg(not_a)) is not_a
+    # across calls that make nothing, and children read twice
+    assert manager.neg(manager.neg(a)) is a
+    assert a.low is a.low and a.high is a.high
+    assert manager.node(a.var, a.low, a.high) is a
 
 
 # -- DOT export ---------------------------------------------------------------

@@ -3,7 +3,9 @@
 Code that only reads a finished diagram lives in ``graph``; each backend
 hands it an ``expand`` function.  The oracle judges both backends, so it
 must not import either: it then cannot call a backend's constructors or
-operations, whatever its docstring says.
+operations, whatever its docstring says.  Both Python backends run the one
+engine in ``_engine``, which imports only ``core``, and write no recursion
+of their own.
 """
 import ast
 from pathlib import Path
@@ -17,10 +19,11 @@ PACKAGE = Path(bddhc.__file__).resolve().parent
 # module -> the package modules it may import
 ALLOWED = {
     "core": set(),
+    "_engine": {"core"},
     "graph": {"core"},
     "oracle": {"core", "graph"},
-    "pure": {"core", "graph"},
-    "_pykernel": {"core"},
+    "pure": {"core", "_engine", "graph"},
+    "_pykernel": {"core", "_engine"},
     "interned": {"core", "graph", "_pykernel", "_speedups"},
 }
 
@@ -63,3 +66,16 @@ def test_package_imports_are_seen():
     # is imported inside a try block
     assert package_imports("interned") >= {"core", "graph", "_pykernel", "_speedups"}
     assert package_imports("cli") >= {"oracle", "pure", "interned"}
+
+
+def defined_functions(module: str) -> set[str]:
+    """Names of every function ``module`` defines, at any nesting level."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return {node.name for node in ast.walk(tree) if isinstance(node, kinds)}
+
+
+@pytest.mark.parametrize("module", ["pure", "_pykernel"])
+def test_backends_write_no_recursion_of_their_own(module):
+    assert not defined_functions(module) & {"_neg_rec", "_apply_rec"}
+    assert {"mk", "neg", "_apply"} <= defined_functions("_engine")

@@ -15,7 +15,7 @@ from bddhc.core import (
     OrderViolation,
     VarOutOfRange,
 )
-from bddhc import frontend, graph, oracle, pure
+from bddhc import _engine, frontend, graph, oracle, pure
 
 from util import gen_trace, ascending_chain_store, play_pure
 
@@ -42,7 +42,7 @@ def test_mk_node_collapses_equal_branches():
 
 
 def test_reduction_cannot_be_switched_off():
-    assert pure.Store._fields == ("shared", "count", "next", "max_var")
+    assert pure.Store._fields == ("shared", "count", "next")
     with pytest.raises(TypeError):
         pure.empty_store(reduce_nodes=False)
     with pytest.raises(TypeError):
@@ -397,22 +397,25 @@ class _AllocFault(Exception):
 
 
 def _second_alloc_fails(operation):
-    """``operation`` with ``pure._alloc`` failing on its second call, after
-    the operation's low branch has allocated a node in the arena."""
+    """``operation`` with the engine's constructor failing right after its
+    second allocation, once the operation's low branch has allocated a
+    node in the arena."""
 
     def run(st):
-        alloc = pure._alloc
+        mk = _engine.mk
         calls = []
 
-        def failing_alloc(sh, node):
-            calls.append(node)
-            if len(calls) == 2:
-                assert len(sh.cells) == st.count + 1
+        def failing_mk(sh, low, var, high):
+            made = mk(sh, low, var, high)
+            calls.append(made)
+            if len(sh.cells) == st.count + 2:
+                assert made == st.count + 2
+                assert st.count + 1 in calls[:-1]
                 raise _AllocFault("second allocation")
-            return alloc(sh, node)
+            return made
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pure, "_alloc", failing_alloc)
+            patch.setattr(_engine, "mk", failing_mk)
             return operation(st)
 
     return run
@@ -645,6 +648,37 @@ def test_validate_reports_leaf_hmap_value():
     st = pure.store_from_parts({1: node}, hmap={node: LEAF_TRUE}, next_id=2)
     assert dict(st.hmap) == {node: LEAF_TRUE}
     assert pure.validate_store(st).codes() == {"left-inverse"}
+
+
+def test_memo_value_above_its_key_is_refused():
+    # mneg says the complement of x2 is node 2, which tests x1: a recursion
+    # building on that hit would put x1 below x1 in node 3's complement
+    st = pure.store_from_parts(
+        {
+            1: Node(LEAF_FALSE, 2, LEAF_TRUE),
+            2: Node(LEAF_FALSE, 1, LEAF_TRUE),
+            3: Node(LEAF_FALSE, 1, 1),
+        },
+        memo_neg={1: 2},
+    )
+    message = "mneg[1] = 2 is labeled x1, above its operands' top variable x2"
+    assert [(v.code, v.message) for v in pure.validate_store(st).violations] == [
+        ("memo-order", message)
+    ]
+    with pytest.raises(CorruptStore) as info:
+        pure.neg(st, 3)
+    assert str(info.value) == message
+    assert pure.node_count(st) == 3
+    # a binary result is held to the smaller of its operands' top variables
+    graph_ = {
+        1: Node(LEAF_FALSE, 2, LEAF_TRUE),
+        2: Node(LEAF_FALSE, 3, LEAF_TRUE),
+        3: Node(LEAF_FALSE, 1, LEAF_TRUE),
+    }
+    st = pure.store_from_parts(graph_, memo_and={(2, 1): 1, (1, 2): 3})
+    assert [v.message for v in pure.validate_store(st).violations] == [
+        "mand[(1, 2)] = 3 is labeled x1, above its operands' top variable x2"
+    ]
 
 
 def test_validate_memo_semantics_on_demand():

@@ -7,7 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from bddhc.core import LEAF_FALSE, LEAF_TRUE, And, Const, Node, Not, Or, Ref, Xor
-from bddhc import _pykernel, pure
+from bddhc import _engine, _pykernel, pure
 
 
 def ascending_chain_store():
@@ -23,24 +23,48 @@ def ascending_chain_store():
     return pure.store_from_parts(graph)
 
 
+_mk = _engine.mk
+
+
+def _mk_unreduced(arena, low, var, high):
+    """``_engine.mk`` without the collapse: a node with equal branches is
+    hash-consed and allocated like any other."""
+    if low != high:
+        return _mk(arena, low, var, high)
+    key = (low, var, high)
+    found = arena.hmap.get(key)
+    if found is not None:
+        arena.intern_hits += 1
+        return found
+    arena.intern_misses += 1
+    arena.cells.append(key)
+    found = arena.hmap[key] = len(arena.cells)
+    return found
+
+
 class UnreducedManager(_pykernel.Manager):
-    """A Python-kernel manager whose ``node`` keeps the nodes that reduction
-    collapses: the fault the validators and the selftest must catch."""
+    """A Python-kernel manager that keeps the nodes reduction collapses, in
+    ``node`` and in the recursions alike: the fault the validators and the
+    selftest must catch.  Each call runs with ``_mk_unreduced`` in place of
+    the engine's constructor."""
 
     def node(self, var, low, high):
-        made = super().node(var, low, high)  # every check, then the collapse
-        if low is not high:
-            return made
-        key = (var, low.uid, high.uid)
-        made = self._unique.get(key)
-        if made is not None:
-            self.intern_hits += 1
-            return made
-        self.intern_misses += 1
-        made = _pykernel.Handle(self._next_uid, var, low, high, -1, self._tag)
-        self._next_uid += 1
-        self._unique[key] = made
-        return made
+        return _unreduced(super().node, var, low, high)
+
+    def neg(self, a):
+        return _unreduced(super().neg, a)
+
+    def apply_binop(self, op, a, b):
+        return _unreduced(super().apply_binop, op, a, b)
+
+
+def _unreduced(method, *args):
+    saved = _engine.mk
+    _engine.mk = _mk_unreduced
+    try:
+        return method(*args)
+    finally:
+        _engine.mk = saved
 
 
 def formulas(max_var: int, max_leaves: int):
