@@ -240,7 +240,9 @@ class Manager(ManagerBase):
 
 class _MemoView(Mapping):
     """Live read-only view of one memo table of a manager's arena, with the
-    C kernel's keys (a uid, or a pair of uids) and handle values."""
+    C kernel's keys (a uid, or a pair of uids) and handle values.  A binary
+    table's packed keys are decoded and encoded by ``_engine``'s helpers; a
+    pair with a leaf uid or an id outside their domain finds nothing."""
 
     def __init__(self, m: Manager, kind: str):
         self._m, self._kind = m, kind
@@ -254,11 +256,19 @@ class _MemoView(Mapping):
     def __iter__(self):
         if self._kind == "not":
             return (k + 2 for k in self._memo())
-        return ((a + 2, b + 2) for a, b in self._memo())
+        return ((a + 2, b + 2) for a, b in map(_engine.unpack_key, self._memo()))
 
     def __getitem__(self, key):
-        ref = key - 2 if self._kind == "not" else (key[0] - 2, key[1] - 2)
-        return self._m._pool.handle(self._memo()[ref])
+        if self._kind == "not":
+            ref = key - 2
+        else:
+            a, b = key[0] - 2, key[1] - 2
+            limit = _engine.ID_LIMIT
+            ref = _engine.pack_key(a, b) if 0 < a < limit and 0 < b < limit else None
+        found = self._memo().get(ref)
+        if found is None:
+            raise KeyError(key)
+        return self._m._pool.handle(found)
 
 
 # the counters stay readable as ``intern_hits``, ``not_hits``, ``and_misses``, ...

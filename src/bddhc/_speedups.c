@@ -8,9 +8,10 @@
  * combines the two into the compiled kernel's manager class.  Given the
  * same call sequence, this kernel and the Python one assign identical uids,
  * raise the same exceptions with the same messages, and report identical
- * statistics.  The unique table and the memo tables are dicts keyed as the
- * Python kernel keys them, (var, low uid, high uid) for the unique table,
- * uid for negation and (uid, uid) for and/or/xor.
+ * statistics.  The unique table and the memo tables are dicts, keyed by
+ * (var, low uid, high uid) for the unique table, uid for negation and
+ * (uid, uid) for and/or/xor: the keys the Python kernel's memo_entries()
+ * views show, decoded from the ints its engine packs the pairs into.
  *
  * Handle is not a GC type.  A handle refers only to its two children, which
  * are older and immutable, so handles never form a cycle and the cyclic

@@ -10,7 +10,8 @@ Representation
 ==============
 A store is a small immutable record pointing into an append-only arena
 of the Python engine (``_engine.Arena``: node id ``i`` at ``cells[i-1]``,
-the hash-consing map, one memo table per operation).  A store value
+the hash-consing map, one memo table per operation, the and/or/xor ones
+keyed by id pairs packed into one int by ``_engine.pack_key``).  A store value
 carries ``count`` (how many arena slots it can see) and ``next`` (the
 next fresh id), with ``count >= next - 1``: every version sees a prefix
 of its arena, and the newest version sees every slot.  An
@@ -29,7 +30,8 @@ version depend on what newer versions computed.
 That visibility rule (a leaf, or an id ``<= count``) is written once, in
 ``_visible``.  As in the paper's record of finite maps, a version hands
 out its tables as new plain dicts of what it sees (``Store.graph``,
-``hmap``, ``memo``); operations never apply the rule (see Hot path).
+``hmap``, ``memo``, whose binary keys are ``(id, id)`` tuples again);
+operations never apply the rule (see Hot path).
 
 Code that only reads a finished diagram (size, denotation, the memo
 semantics check, the oracle, model counting, mirroring into a manager)
@@ -105,7 +107,8 @@ from .core import (
 )
 
 # operation -> (view name, key arity) of each memo table, in the order
-# validation reports them; binary keys are id pairs, ``not`` keys one id
+# validation reports them; a binary table is keyed by id pairs packed by
+# ``_engine.pack_key`` (``Store.memo`` shows them as tuples), ``not`` by one id
 _MEMO_TABLES = {**{op: ("m" + op, 2) for op in BINOPS}, "not": ("mneg", 1)}
 
 
@@ -117,7 +120,8 @@ class _Shared(_engine.Arena):
     sees is never reassigned, and reads of the dict tables go through
     ``dict.copy``, which the GIL makes atomic.  ``defect`` is the message
     of the first violation ``store_from_parts`` found in the arena it
-    built, or None.  Memo tables also read as ``mand``, ..., ``mneg``.
+    built, or None.  The engine's memo tables, packed keys and all, also
+    read as ``mand``, ..., ``mneg``.
     """
 
     __slots__ = ("lock", "defect")
@@ -175,24 +179,28 @@ class Store(NamedTuple):
 
     @property
     def memo(self) -> Memo:
-        """The visible entries of each memo table."""
-        return Memo(
-            *(
-                _visible_entries(self, getattr(self.shared, attr), arity)
-                for attr, arity in _MEMO_TABLES.values()
-            )
-        )
+        """The visible entries of each memo table, a binary key as the
+        ``(id, id)`` tuple it packs."""
+        unpack, tables = _engine.unpack_key, []
+        for attr, arity in _MEMO_TABLES.values():
+            entries = _visible_entries(self, getattr(self.shared, attr), arity)
+            if arity == 2:
+                entries = {unpack(k): v for k, v in entries.items()}
+            tables.append(entries)
+        return Memo(*tables)
 
     def __repr__(self) -> str:
         return f"<Store nodes={node_count(self)} next={self.next}>"
 
 
 def _visible_entries(st: Store, table: dict, arity: int) -> dict:
-    """The entries of ``table`` whose value and key ids ``st`` sees.
+    """The entries of ``table`` whose value and key ids ``st`` sees, with
+    the table's own keys.
 
     ``arity`` is the key's id count: 0 for the hmap (node keys), 1 for
-    ``not``, 2 for the binary memo tables.  One comprehension per arity
-    keeps the per-entry cost to the ``_visible`` calls themselves.
+    ``not``, 2 for the binary memo tables (packed keys, whose ids are
+    positive).  One comprehension per arity keeps the per-entry cost to the
+    visibility tests themselves.
     """
     count = st.count
     items = table.copy().items()
@@ -200,11 +208,8 @@ def _visible_entries(st: Store, table: dict, arity: int) -> dict:
         return {k: v for k, v in items if _visible(v, count)}
     if arity == 1:
         return {k: v for k, v in items if _visible(v, count) and _visible(k, count)}
-    return {
-        k: v
-        for k, v in items
-        if _visible(v, count) and _visible(k[0], count) and _visible(k[1], count)
-    }
+    unpack = _engine.unpack_key
+    return {k: v for k, v in items if _visible(v, count) and max(unpack(k)) <= count}
 
 
 # ---------------------------------------------------------------------------
@@ -238,29 +243,54 @@ def store_from_parts(
     The store sees ``max(largest graph id, next_id - 1)`` arena slots, the
     ones without a graph entry empty, and its arena holds only what its
     views show: entries the store cannot see are dropped.
+
+    A graph id or ``next_id`` outside ``1 .. _engine.ID_LIMIT - 1``, the ids
+    a binary memo key can hold, and a binary memo key that is not a pair of
+    positive ints raise ``BddError`` before anything is allocated.
     """
-    sh = _Shared()
+    for node_id in graph:
+        _check_id("graph ids", node_id)
     max_id = max(graph, default=0)
     if hmap is None:
         hmap = {node: node_id for node_id, node in graph.items()}
     if next_id is None:
         next_id = max([max_id, *hmap.values()]) + 1
+    _check_id("next", next_id)
     count = max(max_id, next_id - 1)
-    sh.cells = [None] * count
-    for node_id, node in graph.items():
-        if node_id < 1:
-            raise BddError(f"graph ids must be positive, got {node_id}")
-        sh.cells[node_id - 1] = node
-    sh.hmap = dict(hmap)
+    sh = _Shared()
     # the memo keywords come in ``_MEMO_TABLES`` order
     memo = (memo_and, memo_or, memo_xor, memo_neg)
-    for op, table in zip(_MEMO_TABLES, memo):
-        sh.ops[op].memo = dict(table or {})
+    for (op, (_, arity)), table in zip(_MEMO_TABLES.items(), memo):
+        table = table or {}
+        sh.ops[op].memo = _packed(table, count) if arity == 2 else dict(table)
+    sh.cells = [None] * count
+    for node_id, node in graph.items():
+        sh.cells[node_id - 1] = node
+    sh.hmap = dict(hmap)
     st = Store(_clone_shared(Store(sh, count, next_id)), count, next_id)
     report = validate_store(st)
     if not report.ok:
         st.shared.defect = report.violations[0].message
     return st
+
+
+def _check_id(what: str, value: int) -> None:
+    if value < 1:
+        raise BddError(f"{what} must be positive, got {value}")
+    if value >= _engine.ID_LIMIT:
+        raise BddError(f"{what} must be below {_engine.ID_LIMIT}, got {value}")
+
+
+def _packed(table: Mapping[tuple[int, int], NodeRef], count: int) -> dict:
+    """A binary memo table with its keys packed, less the entries over an id
+    above ``count``, which the store cannot see."""
+    packed = {}
+    for (a, b), value in table.items():
+        if not (type(a) is int and type(b) is int and a >= 1 and b >= 1):
+            raise BddError(f"memo key {(a, b)!r} is not a pair of node ids")
+        if a <= count and b <= count:
+            packed[_engine.pack_key(a, b)] = value
+    return packed
 
 
 def clear_memo(st: Store) -> Store:

@@ -21,7 +21,7 @@ from bddhc.core import (
     VarOutOfRange,
 )
 import bddhc
-from bddhc import frontend, graph, interned, oracle, pure
+from bddhc import _engine, frontend, graph, interned, oracle, pure
 from bddhc._pykernel import Manager as PyManager
 
 from util import UnreducedManager, gen_trace, play_interned, play_pure
@@ -378,10 +378,31 @@ def test_validate_detects_wrong_cache_semantics():
     m = PyManager()
     a = m.node(1, m.false, m.true)
     b = m.node(2, m.false, m.true)
-    m._pool.ops["and"].memo[(a.uid - 2, b.uid - 2)] = LEAF_TRUE
+    m._pool.ops["and"].memo[_engine.pack_key(a.uid - 2, b.uid - 2)] = LEAF_TRUE
     assert interned.validate_manager(m).ok
     report = interned.validate_manager(m, check_cache_semantics=True)
     assert "cache-semantics" in report.codes()
+
+
+def test_memo_view_finds_no_pair_outside_the_key_domain():
+    m = PyManager()
+    a = m.node(1, m.false, m.true)
+    b = m.node(2, m.false, m.true)
+    made = m.apply_binop("and", a, b)
+    view = m.memo_entries()["and"]
+    assert dict(view) == {(a.uid, b.uid): made}
+    limit = _engine.ID_LIMIT
+    # the first two would pack to the key of (a, b) without the domain test
+    for key in [
+        (a.uid, b.uid + limit),
+        (m.false.uid, b.uid + limit),
+        (a.uid + limit, b.uid),
+        (m.true.uid, b.uid),
+        (a.uid, m.false.uid),
+    ]:
+        assert key not in view
+        with pytest.raises(KeyError):
+            view[key]
 
 
 def test_validate_unreduced_pool_node():
@@ -423,6 +444,16 @@ def test_rebuild_into_fresh_manager(kernel):
         oracle.bdd_truth_table(h1, 3, interned.expand),
         oracle.bdd_truth_table(h2, 3, interned.expand),
     )
+
+
+def test_python_kernel_keeps_no_tracked_binary_memo_key():
+    # the gain of packed keys: the collector does not track an int
+    m = PyManager()
+    frontend.compile_interned(frontend.queens_formula(5), m)
+    ops = m._pool.ops
+    assert len(ops["and"].memo) > 1000
+    for op in ("and", "or", "xor"):
+        assert not any(gc.is_tracked(key) for key in ops[op].memo)
 
 
 # -- memo transparency -----------------------------------------------------

@@ -5,7 +5,7 @@ hands it an ``expand`` function.  The oracle judges both backends, so it
 must not import either: it then cannot call a backend's constructors or
 operations, whatever its docstring says.  Both Python backends run the one
 engine in ``_engine``, which imports only ``core``, and write no recursion
-of their own.
+of their own, nor the packing rule of its memo keys.
 """
 import ast
 from pathlib import Path
@@ -79,3 +79,22 @@ def defined_functions(module: str) -> set[str]:
 def test_backends_write_no_recursion_of_their_own(module):
     assert not defined_functions(module) & {"_neg_rec", "_apply_rec"}
     assert {"mk", "neg", "_apply"} <= defined_functions("_engine")
+
+
+@pytest.mark.parametrize("module", ["pure", "_pykernel"])
+def test_backends_leave_memo_key_packing_to_the_engine(module):
+    # the shift-and-mask rule of binary memo keys is written in ``_engine``
+    # only; the backends call its ``pack_key``/``unpack_key``
+    assert not bit_operations(module)
+    assert bit_operations("_engine") >= {"LShift", "RShift", "BitAnd", "BitOr"}
+
+
+def bit_operations(module: str) -> set[str]:
+    """Names of the shift and bitwise operators ``module`` uses."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    kinds = (ast.LShift, ast.RShift, ast.BitAnd, ast.BitOr)
+    return {
+        type(node.op).__name__
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, kinds)
+    }

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import threading
@@ -47,6 +48,39 @@ def test_reduction_cannot_be_switched_off():
         pure.empty_store(reduce_nodes=False)
     with pytest.raises(TypeError):
         pure.store_from_parts({}, reduce_nodes=False)
+
+
+def test_hand_built_store_refuses_next_below_one():
+    for next_id in (0, -4):
+        with pytest.raises(BddError, match=f"^next must be positive, got {next_id}$"):
+            pure.store_from_parts({}, next_id=next_id)
+
+
+def test_hand_built_store_refuses_a_graph_id_past_the_key_domain():
+    # refused before the arena is allocated, not by a MemoryError building it
+    node = Node(LEAF_FALSE, 1, LEAF_TRUE)
+    for node_id in (_engine.ID_LIMIT, 2**40):
+        with pytest.raises(
+            BddError, match=f"^graph ids must be below {_engine.ID_LIMIT}, got {node_id}$"
+        ):
+            pure.store_from_parts({node_id: node})
+
+
+def test_hand_built_store_refuses_next_past_the_key_domain():
+    node = Node(LEAF_FALSE, 1, LEAF_TRUE)
+    limit = _engine.ID_LIMIT
+    with pytest.raises(BddError, match=f"^next must be below {limit}, got {limit}$"):
+        pure.store_from_parts({1: node}, next_id=limit)
+    # the default next is one past the largest id the hmap names
+    with pytest.raises(BddError, match=f"^next must be below {limit}, got {limit}$"):
+        pure.store_from_parts({1: node}, hmap={node: limit - 1})
+
+
+def test_hand_built_store_refuses_a_binary_memo_key_that_is_no_id_pair():
+    node = Node(LEAF_FALSE, 1, LEAF_TRUE)
+    for key in ((LEAF_TRUE, 1), (1, 0), (-1, 1), (1, True)):
+        with pytest.raises(BddError, match=r"^memo key .* is not a pair of node ids$"):
+            pure.store_from_parts({1: node}, memo_or={key: LEAF_TRUE})
 
 
 def test_mk_node_first_allocation():
@@ -845,6 +879,16 @@ def test_hand_built_store_drops_memo_entries_it_cannot_see():
         pure.apply_binop(st, "and", 9, 1)
 
 
+def test_hand_built_store_drops_a_memo_key_past_the_key_domain():
+    # packed without the bound, (1, 2**32 + 2) would be the key of (1, 2)
+    graph_ = {1: Node(LEAF_FALSE, 1, LEAF_TRUE), 2: Node(LEAF_FALSE, 2, LEAF_TRUE)}
+    st = pure.store_from_parts(graph_, memo_and={(1, _engine.ID_LIMIT + 2): LEAF_TRUE})
+    assert st.memo.mand == {}
+    ref, st = pure.apply_binop(st, "and", 1, 2)
+    assert st.graph[ref] == Node(LEAF_FALSE, 1, 2)
+    assert st.memo.mand == {(1, 2): ref}
+
+
 def test_read_only_operation_on_older_version_leaves_the_arena_alone():
     st_old = _not_x1()
     x1, st_old = pure.mk_node(st_old, LEAF_FALSE, 1, LEAF_TRUE)
@@ -966,6 +1010,27 @@ def test_memo_hit_counted_on_repeat():
     _, st = pure.apply_binop(st, "and", a, b)
     _, st = pure.apply_binop(st, "and", a, b)
     assert pure.store_stats(st)["and_hits"] > before
+
+
+# -- packed memo keys ---------------------------------------------------
+
+
+def test_memo_key_packing_round_trips():
+    ids = (1, 2**31, 2**32 - 1)
+    keys = {_engine.pack_key(a, b): (a, b) for a in ids for b in ids}
+    assert len(keys) == 9
+    for key, pair in keys.items():
+        assert type(key) is int
+        assert _engine.unpack_key(key) == pair
+
+
+def test_compiled_store_keeps_no_tracked_binary_memo_key():
+    # the gain of packed keys: the collector does not track an int
+    _, st = frontend.compile_pure(frontend.queens_formula(5), pure.empty_store())
+    sh = st.shared
+    assert len(sh.mand) > 1000
+    for table in (sh.mand, sh.mor, sh.mxor):
+        assert not any(gc.is_tracked(key) for key in table)
 
 
 # -- serialization ------------------------------------------------------
