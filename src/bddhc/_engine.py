@@ -7,10 +7,21 @@ counters) per operation in ``core.OPS``.  ``mk`` is the only Python node
 constructor, and ``neg``/``apply`` the only Python recursions: ``pure``
 threads store versions over an arena and ``_pykernel`` hands out handles
 as views of one, so both build the same nodes in the same order with
-the same counts.  Nothing here checks its arguments; the callers check
-theirs and trust only an arena that keeps what ``mk`` enforces.  The
-recursions call ``mk``, ``neg`` and ``_apply`` through this module's
-globals, so a wrapper set on the module sees every call.
+the same counts.  Nothing here checks its arguments, except ``fold``,
+which tests each variable of a formula as ``pure.mk_node`` does; the
+callers check theirs and trust only an arena that keeps what ``mk``
+enforces.  The recursions and ``compile`` call ``mk``, ``neg`` and
+``_apply`` through this module's globals, so a wrapper set on the module
+sees every call.
+
+Compiling a formula
+===================
+``fold`` is the one compile loop of the package: a post-order fold of
+``core.postorder``'s list with a stack of values, over four callbacks.
+``compile`` runs it with this module's constructor and recursions on an
+arena, inside one operation of the caller's (``pure.compile``,
+``_pykernel.Manager.compile``); the compiled kernel runs it over its
+public methods (``_pykernel.ManagerBase.compile``).
 
 Memo keys
 =========
@@ -26,7 +37,22 @@ one place an arbitrary id comes in, refuses an id past the domain.
 """
 from __future__ import annotations
 
-from .core import LEAF_FALSE, LEAF_TRUE, OPS, STAT_KEYS, Leaf
+from .core import (
+    LEAF_FALSE,
+    LEAF_TRUE,
+    OPS,
+    STAT_KEYS,
+    And,
+    Const,
+    Formula,
+    Leaf,
+    Not,
+    Or,
+    Ref,
+    Xor,
+    check_var,
+    postorder,
+)
 
 # one past the largest id a binary memo key can hold
 ID_LIMIT = 1 << 32
@@ -68,12 +94,23 @@ class Arena:
         self.intern_hits = self.intern_misses = 0
 
     @property
-    def stats(self) -> dict[str, int]:
-        """The counters, in ``core.STAT_KEYS`` order."""
+    def counts(self) -> list[int]:
+        """The counters' values, in ``core.STAT_KEYS`` order; settable."""
         counts = [self.intern_hits, self.intern_misses]
         for op in self.ops.values():
             counts += (op.hits, op.misses)
-        return dict(zip(STAT_KEYS, counts))
+        return counts
+
+    @counts.setter
+    def counts(self, counts) -> None:
+        self.intern_hits, self.intern_misses = counts[:2]
+        for i, op in enumerate(self.ops.values(), 1):
+            op.hits, op.misses = counts[2 * i : 2 * i + 2]
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """The counters, by their ``core.STAT_KEYS`` names."""
+        return dict(zip(STAT_KEYS, self.counts))
 
 
 def mk(arena: Arena, low, var: int, high):
@@ -156,3 +193,53 @@ def _apply(arena: Arena, op: Op, a, b):
     op.memo[key] = made
     return made
 
+
+# the operation name of each binary formula class, as ``apply`` takes it
+_BINOP = {And: "and", Or: "or", Xor: "xor"}
+
+
+def fold(f: Formula, const, var, neg, binop):
+    """``f`` evaluated bottom-up: ``const(value)`` for a constant,
+    ``var(index)`` for a variable, ``neg(x)`` and ``binop(name, x, y)``
+    (``name`` in and/or/xor) for the connectives over their operands'
+    values.
+
+    Each variable is tested as ``pure.mk_node`` tests it, with the same
+    exception and message, before ``var`` sees it; anything that is not a
+    formula raises ``TypeError`` before any callback runs.
+    """
+    values = []
+    push = values.append
+    for g in postorder(f):
+        t = type(g)
+        if t is Ref:
+            index = g.var
+            if type(index) is not int or index < 1:
+                check_var(index)
+            push(var(index))
+        elif t is Not:
+            values[-1] = neg(values[-1])
+        elif t is Const:
+            push(const(g.value))
+        else:
+            b = values.pop()
+            values[-1] = binop(_BINOP[t], values[-1], b)
+    return values[0]
+
+
+def _leaf(value) -> Leaf:
+    return LEAF_TRUE if value else LEAF_FALSE
+
+
+def compile(arena: Arena, f: Formula):
+    """The ref of the formula ``f``, built on ``arena``: a variable ``x``
+    is the node (false, x, true), and the connectives run ``neg`` and
+    ``_apply``, each looked up in this module when it is called."""
+    ops = arena.ops
+    return fold(
+        f,
+        _leaf,
+        lambda index: mk(arena, LEAF_FALSE, index, LEAF_TRUE),
+        lambda ref: neg(arena, ref),
+        lambda name, a, b: _apply(arena, ops[name], a, b),
+    )

@@ -3,12 +3,13 @@
 ``ManagerBase`` writes the manager methods off the hot path once, over
 what each kernel provides (see its docstring).  ``Manager`` here and the
 hand-written C kernel in ``_speedups.c`` add only the hot path: ``node``,
-``neg``, ``apply_binop`` and ``reset``.  Given the same call sequence,
-both assign identical uids, raise the same errors and report identical
-statistics.  Only the compiled ``node`` also rejects a variable above
-``core.MAX_VAR``, which its C ``int`` cannot hold.  Both kernels draw
-manager tags from ``_manager_ids``, so a handle of one kernel is foreign
-to every manager of the other.  ``bddhc.interned`` lists the kernels.
+``neg``, ``apply_binop`` and ``reset``, and ``Manager`` its own
+``compile``.  Given the same call sequence, both assign identical uids,
+raise the same errors and report identical statistics.  Only the
+compiled ``node`` also rejects a variable above ``core.MAX_VAR``, which
+its C ``int`` cannot hold.  Both kernels draw manager tags from
+``_manager_ids``, so a handle of one kernel is foreign to every manager
+of the other.  ``bddhc.interned`` lists the kernels.
 
 Handles as views
 ================
@@ -17,8 +18,12 @@ and with the same exception and message (the variable, ``low``'s then
 ``high``'s owner, then their variable order), and runs the shared Python
 engine (``_engine``) on its own arena.  A handle is a view of one arena
 ref, made when first needed (``_Pool.handle``): node uid = arena id + 2,
-and ``low``/``high`` are read from the arena that made it.  A wrapper set
-as an instance attribute (a tracer, say) sees the public calls only; the
+and ``low``/``high`` are read from the arena that made it.  ``compile``
+folds a whole formula on the arena (``_engine.compile``) and makes one
+handle, of its root; the compiled kernel inherits
+``ManagerBase.compile``, the same fold over its public methods.  So a
+wrapper set as an instance attribute (a tracer, say) sees the public
+calls only, and on this kernel none from ``compile``: the fold and the
 recursions build through ``_engine.mk``.
 """
 from __future__ import annotations
@@ -122,6 +127,19 @@ class ManagerBase:
     def constant(self, value: bool) -> Handle:
         return self.true if value else self.false
 
+    def compile(self, f) -> Handle:
+        """The handle of the formula ``f``: a variable ``x`` is
+        ``node(x, false, true)``, and the connectives are ``neg`` and
+        ``apply_binop`` (``_engine.fold`` over these public methods)."""
+        node, false, true = self.node, self.false, self.true
+        return _engine.fold(
+            f,
+            self.constant,
+            lambda index: node(index, false, true),
+            self.neg,
+            self.apply_binop,
+        )
+
     def structural_eq(self, a: Handle, b: Handle) -> bool:
         """Constant-time equality; equivalent to deep tree comparison."""
         self._check_owned(a)
@@ -210,6 +228,13 @@ class Manager(ManagerBase):
             raise ValueError(f"unknown operation {op!r}")
         pool = self._pool
         return pool.handle(_engine.apply(pool, op, a._ref, b._ref))
+
+    def compile(self, f) -> Handle:
+        """The handle of the formula ``f``, folded on the arena in one call
+        (``_engine.compile``), with the same nodes and counts as
+        ``ManagerBase.compile``."""
+        pool = self._pool
+        return pool.handle(_engine.compile(pool, f))
 
     def reset(self) -> None:
         """Empty the pool and caches; previously issued handles are dead."""

@@ -14,17 +14,19 @@ with an index of ASCII digits.  ``parse`` and ``format_formula``
 round-trip exactly.
 
 ``_BINARY`` (token to precedence and AST class) is the one definition of
-the binary operators; the parser, the formatter and the compilers read
-it.  ``parse`` is one operator-precedence loop that alternates between
-an operand (``!`` and ``(`` prefixes, then an atom) and what follows it,
+the binary operators' syntax; the parser and the formatter read it.
+``parse`` is one operator-precedence loop that alternates between an
+operand (``!`` and ``(`` prefixes, then an atom) and what follows it,
 with the pending operators and their left operands on explicit stacks.
-The formatter and the compilers fold ``core.postorder``'s list with a
-stack of values, so no nesting depth costs interpreter frames.
+The formatter folds ``core.postorder``'s list with a stack of values, as
+the compilers do, so no nesting depth costs interpreter frames.
 
 Compilation is bottom-up: constants become leaves, a variable ``x``
 becomes the node (low=false, var=x, high=true), and connectives go
 through the target backend's operations, so the result is canonical for
-whatever the backend guarantees.
+whatever the backend guarantees.  Both compilers are one call into the
+backend (``pure.compile``, the manager's ``compile``), which folds the
+whole formula with ``_engine.fold``, the package's one compile loop.
 """
 from __future__ import annotations
 
@@ -33,8 +35,6 @@ import random
 
 from . import pure
 from .core import (
-    LEAF_FALSE,
-    LEAF_TRUE,
     And,
     BddError,
     Const,
@@ -72,8 +72,6 @@ _BINARY = {"|": (1, Or), "^": (2, Xor), "&": (3, And)}
 _NOT_PREC = 4
 
 _SYMBOL = {cls: (token, prec) for token, (prec, cls) in _BINARY.items()}
-# the backends name their binary operations after the class: "and", ...
-_OP_NAME = {cls: cls.__name__.lower() for _, cls in _BINARY.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -228,43 +226,22 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Compilation
 #
-# Both compilers look ``pure.<op>`` and the manager's methods up on every
-# call, so wrappers installed on either see each call.
+# Each compiler is one backend call per formula, which folds the formula
+# with ``_engine.fold``: ``pure.compile`` in one store operation, a Python
+# kernel manager on its arena, and a compiled kernel manager over its public
+# methods.  So wrappers on ``pure``'s operations or on a Python kernel
+# manager's methods see no call from a compile; one on ``_engine.mk`` sees
+# every constructor call of both Python engines.
 
 
 def compile_pure(f: Formula, st: pure.Store) -> tuple[NodeRef, pure.Store]:
     """Compile into the persistent store, threading it through."""
-    refs: list[NodeRef] = []
-    for g in postorder(f):
-        t = type(g)
-        if t is Ref:
-            ref, st = pure.mk_node(st, LEAF_FALSE, g.var, LEAF_TRUE)
-        elif t is Not:
-            ref, st = pure.neg(st, refs.pop())
-        elif t is Const:
-            ref = LEAF_TRUE if g.value else LEAF_FALSE
-        else:
-            b = refs.pop()
-            ref, st = pure.apply_binop(st, _OP_NAME[t], refs.pop(), b)
-        refs.append(ref)
-    return refs[0], st
+    return pure.compile(st, f)
 
 
 def compile_interned(f: Formula, m):
     """Compile into an interned manager, returning a handle."""
-    handles = []
-    for g in postorder(f):
-        t = type(g)
-        if t is Ref:
-            handles.append(m.node(g.var, m.false, m.true))
-        elif t is Not:
-            handles[-1] = m.neg(handles[-1])
-        elif t is Const:
-            handles.append(m.constant(g.value))
-        else:
-            b = handles.pop()
-            handles[-1] = m.apply_binop(_OP_NAME[t], handles[-1], b)
-    return handles[0]
+    return m.compile(f)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,9 @@ def validate_manager(m, check_cache_semantics: bool = False) -> ValidationReport
                     f"node uid {h.uid} (x{h.var}) has child labeled x{child.var}",
                 )
 
+    # a result tests no variable above its operands' top variable: the
+    # recursions build on a cache hit as on a node they made, so an entry
+    # that breaks this would break the variable order of the pool
     caches = m.memo_entries()
     for op, table in caches.items():
         for key, value in list(table.items()):
@@ -135,6 +138,14 @@ def validate_manager(m, check_cache_semantics: bool = False) -> ValidationReport
                 report.add(
                     "cache-liveness", f"{op} cache value for {key} is not pooled"
                 )
+            elif value.terminal < 0 and all(u in by_uid for u in uids):
+                tops = [by_uid[u].var for u in uids if by_uid[u].terminal < 0]
+                if tops and value.var < min(tops):
+                    report.add(
+                        "memo-order",
+                        f"{op}[{key}] = {value.uid} is labeled x{value.var}, "
+                        f"above its operands' top variable x{min(tops)}",
+                    )
 
     if check_cache_semantics and not report.violations:
         _check_cache_semantics(m, by_uid, report)

@@ -47,14 +47,18 @@ with code fine-tuned with constructs Coq lacks, and this module uses the
 fine-tuned form inside one operation: the engine (``_engine.mk``, ``neg``
 and ``apply``, which the Python kernel runs too) advances an arena in
 place and returns a ref, and one ``Store`` is built at the end, the input
-store itself when nothing was allocated.  ``_operate`` gives the engine
-an arena holding only what the input version sees, so hash-consing and
-memo hits need no visibility test: the version's own arena, under its
-lock, when the version is the newest, and otherwise a private clone,
-which an operation that allocates nothing pays for and drops with what it
-memoized.  An operation that fails in the version's own arena puts it
-back to that version before the error propagates (``_restore``), so the
-version stays the newest.
+store itself when nothing was allocated.  A whole formula is one
+operation too: ``compile`` runs the engine's fold (``_engine.compile``)
+once, so its AST nodes pay for no argument check, lock or ``Store``
+each.  ``_operate`` gives the engine an arena holding only what the
+input version sees, so hash-consing and memo hits need no visibility
+test: the version's own arena, under its lock, when the version is the
+newest, and otherwise a private clone, which an operation that allocates
+nothing pays for and drops with what it memoized, keeping only its
+counts (they go to the input's arena).  An
+operation that fails in the version's own arena, a formula's compile
+included, puts it back to that version, counters included, before the
+error propagates (``_restore``), so the version stays the newest.
 
 An arena is checked once, when ``store_from_parts`` builds it (the
 loader builds through it): only there can a cell or a memo entry break a
@@ -64,8 +68,9 @@ operation on them with ``CorruptStore``.  In every other arena each child
 is present and below its parent in id and in the variable order, and each
 memo result tests no variable above its operands', so the engine checks
 nothing.  Arguments are outside input: ``mk_node`` checks its variable
-and children, and ``neg`` and ``apply_binop`` their operands
-(``_check_operand``), each fault with its own exception and message.
+and children, ``neg`` and ``apply_binop`` their operands
+(``_check_operand``), and ``compile`` its formula's variables (in
+``_engine.fold``), each fault with its own exception and message.
 
 Serialization
 =============
@@ -96,6 +101,7 @@ from .core import (
     BddError,
     CorruptStore,
     DanglingRef,
+    Formula,
     InvalidChild,
     Leaf,
     Node,
@@ -116,12 +122,13 @@ class _Shared(_engine.Arena):
     """The engine arena shared by every version of one store lineage.
 
     Only an operation on the newest version writes to it, holding ``lock``
-    from start to end (``_operate``).  Reads need no lock: a slot a version
-    sees is never reassigned, and reads of the dict tables go through
-    ``dict.copy``, which the GIL makes atomic.  ``defect`` is the message
-    of the first violation ``store_from_parts`` found in the arena it
-    built, or None.  The engine's memo tables, packed keys and all, also
-    read as ``mand``, ..., ``mneg``.
+    from start to end (``_operate``), and one on an older version that
+    allocates nothing adds its counts to it, under ``lock``.  Reads need
+    no lock: a slot a version sees is never reassigned, and reads of the
+    dict tables go through ``dict.copy``, which the GIL makes atomic.
+    ``defect`` is the message of the first violation ``store_from_parts``
+    found in the arena it built, or None.  The engine's memo tables,
+    packed keys and all, also read as ``mand``, ..., ``mneg``.
     """
 
     __slots__ = ("lock", "defect")
@@ -307,9 +314,7 @@ def _clone_shared(st: Store, copy_memo: bool = True) -> _Shared:
     """Private copy of the prefix of the arena that ``st`` can see, with
     the arena's counters and defect."""
     sh, src = _Shared(), st.shared
-    sh.intern_hits, sh.intern_misses = src.intern_hits, src.intern_misses
-    for op, record in src.ops.items():
-        sh.ops[op].hits, sh.ops[op].misses = record.hits, record.misses
+    sh.counts = src.counts
     sh.defect = src.defect
     return _restore(sh, st, copy_memo)
 
@@ -333,9 +338,11 @@ def _restore(sh: _Shared, st: Store, copy_memo: bool = True) -> _Shared:
 def store_stats(st: Store) -> dict[str, int]:
     """Snapshot of the arena's interning and memo hit/miss counters.
 
-    They count the work done in this lineage, not the store value; an
-    operation on an older version counts in its clone, which is dropped
-    if the operation allocates nothing.
+    They count the work done in this lineage, not the store value, by
+    the operations that succeed.  An operation on an older version runs on
+    a clone of it, which counts the operation's work: the clone becomes
+    the result's arena if the operation allocates, and is otherwise
+    dropped after its counts are added to the input's arena.
     """
     return st.shared.stats
 
@@ -352,8 +359,11 @@ def node_count(st: Store) -> int:
 def _operate(st: Store, body, *args) -> tuple[NodeRef, Store]:
     """``body(arena, *args)`` and the version it reaches, run on the arena
     of ``st`` under its lock if ``st`` is its newest version (restored to
-    ``st`` if the body fails), and otherwise on a private clone of ``st``.
-    An arena with a defect is refused before anything runs.
+    ``st``, counters included, if the body fails), and otherwise on a
+    private clone of ``st``, whose counts go to the arena of ``st`` if the
+    clone is dropped because nothing was allocated.  So a failed operation
+    counts nothing, and any other counts once.  An arena with a defect is
+    refused before anything runs.
     """
     sh = st.shared
     if sh.defect is not None:
@@ -364,15 +374,29 @@ def _operate(st: Store, body, *args) -> tuple[NodeRef, Store]:
     lock.acquire()
     try:
         if len(sh.cells) == st.count:
+            counts = sh.counts
             try:
                 return body(sh, *args), _reached(st, sh)
             except BaseException:
-                _restore(sh, st)
+                # the engine counts a miss before it adds to a table, so a
+                # body that failed with the counters unchanged left the
+                # arena as it was (a formula refused before its first node)
+                if sh.counts != counts:
+                    _restore(sh, st)
+                    sh.counts = counts
                 raise
     finally:
         lock.release()
-    sh = _clone_shared(st)
-    return body(sh, *args), _reached(st, sh)
+    clone = _clone_shared(st)
+    counts = clone.counts
+    ref = body(clone, *args)
+    reached = _reached(st, clone)
+    if reached is st:
+        # the clone is dropped: what it counted goes to the input's arena
+        moved = [end - start for start, end in zip(counts, clone.counts)]
+        with lock:
+            sh.counts = [n + d for n, d in zip(sh.counts, moved)]
+    return ref, reached
 
 
 def _reached(st: Store, sh: _Shared) -> Store:
@@ -457,6 +481,19 @@ def apply_binop(st: Store, op: str, a: NodeRef, b: NodeRef) -> tuple[NodeRef, St
     _check_operand(st, a)
     _check_operand(st, b)
     return _operate(st, _engine.apply, op, a, b)
+
+
+def compile(st: Store, f: Formula) -> tuple[NodeRef, Store]:
+    """Compile the formula ``f`` into ``st`` in one operation, threading
+    it through: a variable ``x`` is the node (false, x, true), and the
+    connectives are ``neg`` and ``apply_binop`` (``_engine.compile``).
+
+    Each variable is checked as ``mk_node`` checks it, and anything that
+    is not a formula raises ``TypeError`` before a node is built.  A
+    formula that fails partway leaves ``st`` as it was, still the newest
+    version if it was.
+    """
+    return _operate(st, _engine.compile, f)
 
 
 def expander(st: Store):

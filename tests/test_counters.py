@@ -8,7 +8,7 @@ import hashlib
 import random
 
 from bddhc import _engine, frontend, interned, pure
-from bddhc.core import LEAF_TRUE, Ref, postorder
+from bddhc.core import LEAF_TRUE
 
 QUEENS_5 = {
     "stats": {
@@ -100,8 +100,9 @@ def test_python_kernel_counts_public_calls_only():
     """A counting wrapper set on the instance sees the public calls only.
 
     perfbench's tracer shadows ``node``/``neg`` with instance attributes;
-    the recursions build through the engine, never through the instance,
-    so the ``node`` calls it sees are the compiler's variable nodes.
+    a compile folds the whole formula on the arena and the recursions build
+    through the engine, never through the instance, so the wrapper sees no
+    call from ``compile_interned``, only the caller's own.
     """
     m = interned.new_manager("python")
     calls = {"node": 0, "neg": 0}
@@ -116,11 +117,13 @@ def test_python_kernel_counts_public_calls_only():
     m.node = counting("node", m.node)
     m.neg = counting("neg", m.neg)
     f = frontend.queens_formula(5)
-    frontend.compile_interned(f, m)
-    variables = sum(type(g) is Ref for g in postorder(f))
-    assert calls == {"node": variables, "neg": 160}
-    assert variables == 345
+    root = frontend.compile_interned(f, m)
+    assert calls == {"node": 0, "neg": 0}
     assert m.stats() == QUEENS_5["stats"]
+    m.neg(m.node(1, m.false, m.true))
+    assert calls == {"node": 1, "neg": 1}
+    assert m.neg(root) is not root
+    assert calls == {"node": 1, "neg": 2}
 
 
 def test_counter_attributes_match_stats(kernel):

@@ -14,6 +14,7 @@ from bddhc.core import (
     Not,
     Or,
     Ref,
+    VarOutOfRange,
     Xor,
     formula_max_var,
     formula_size,
@@ -238,6 +239,29 @@ def test_compile_rejects_non_formulas(bad, leaf):
         frontend.compile_interned(bad, interned.new_manager())
     with pytest.raises(TypeError, match=message):
         frontend.format_formula(bad)
+
+
+def _with_var_zero():
+    """A formula whose third variable reads 0, which ``Ref`` refuses to
+    build, after two variables and a connective that allocate."""
+    bad = Ref(3)
+    object.__setattr__(bad, "var", 0)
+    return Or(And(Ref(1), Not(Ref(2))), Xor(bad, Ref(4)))
+
+
+def test_compile_checks_each_variable_on_every_engine(kernel):
+    message = "variable index must be a positive integer, got 0"
+    _, st = frontend.compile_pure(parse("x2 | x5 & !x4"), pure.empty_store())
+    text, stats = pure.store_to_text(st), pure.store_stats(st)
+    with pytest.raises(VarOutOfRange) as info:
+        frontend.compile_pure(_with_var_zero(), st)
+    assert str(info.value) == message
+    # the whole formula is rewound: the input is still the newest version
+    assert len(st.shared.cells) == st.count
+    assert (pure.store_to_text(st), pure.store_stats(st)) == (text, stats)
+    with pytest.raises(VarOutOfRange) as info:
+        frontend.compile_interned(_with_var_zero(), interned.new_manager(kernel))
+    assert str(info.value) == message
 
 
 def test_compile_cnf_equals_conjunction():

@@ -374,6 +374,28 @@ def test_validate_detects_dead_cache_entries():
     assert "cache-liveness" in interned.validate_manager(m).codes()
 
 
+def test_validate_detects_a_cache_entry_above_its_operands(kernel):
+    # not[x2] = x1: a result on x1 for an operand on x2, which ``neg`` then
+    # returns; the compiled kernel's tables are live dicts of handles
+    m = interned.new_manager(kernel)
+    x1 = m.node(1, m.false, m.true)
+    x2 = m.node(2, m.false, m.true)
+    assert interned.validate_manager(m).ok
+    if kernel == "python":
+        m._pool.ops["not"].memo[x2.uid - 2] = x1.uid - 2
+    else:
+        m.memo_entries()["not"][x2.uid] = x1
+    assert m.neg(x2) is x1
+    report = interned.validate_manager(m)
+    assert [(v.code, v.message) for v in report.violations] == [
+        (
+            "memo-order",
+            f"not[{x2.uid}] = {x1.uid} is labeled x1, "
+            "above its operands' top variable x2",
+        )
+    ]
+
+
 def test_validate_detects_wrong_cache_semantics():
     m = PyManager()
     a = m.node(1, m.false, m.true)

@@ -5,7 +5,8 @@ hands it an ``expand`` function.  The oracle judges both backends, so it
 must not import either: it then cannot call a backend's constructors or
 operations, whatever its docstring says.  Both Python backends run the one
 engine in ``_engine``, which imports only ``core``, and write no recursion
-of their own, nor the packing rule of its memo keys.
+of their own, nor the packing rule of its memo keys, nor a compile loop:
+the one fold over a formula is ``_engine.fold``.
 """
 import ast
 from pathlib import Path
@@ -87,6 +88,35 @@ def test_backends_leave_memo_key_packing_to_the_engine(module):
     # only; the backends call its ``pack_key``/``unpack_key``
     assert not bit_operations(module)
     assert bit_operations("_engine") >= {"LShift", "RShift", "BitAnd", "BitOr"}
+
+
+def loops_over_postorder(module: str) -> set[str]:
+    """Names of the functions of ``module`` with a ``for`` loop or a
+    comprehension over a ``postorder(...)`` call."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                it = getattr(node, "iter", None)
+                if isinstance(it, ast.Call) and called_name(it) == "postorder":
+                    found.add(fn.name)
+    return found
+
+
+def called_name(call: ast.Call):
+    """``f`` of ``f(...)`` or of ``m.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_formulas_are_compiled_by_one_fold_in_the_engine():
+    # the frontend's one loop over ``postorder`` formats a formula; every
+    # backend compiles through ``_engine.fold``
+    assert loops_over_postorder("_engine") == {"fold"}
+    assert loops_over_postorder("frontend") == {"format_formula"}
+    for module in ("pure", "_pykernel", "interned", "cli"):
+        assert loops_over_postorder(module) == set(), module
 
 
 def bit_operations(module: str) -> set[str]:

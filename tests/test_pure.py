@@ -9,10 +9,12 @@ from bddhc.core import (
     LEAF_FALSE,
     LEAF_TRUE,
     BddError,
+    Const,
     CorruptStore,
     DanglingRef,
     InvalidChild,
     Node,
+    Or,
     OrderViolation,
     VarOutOfRange,
 )
@@ -342,6 +344,8 @@ _OPERATIONS = {
     "mk_node": lambda st: pure.mk_node(st, LEAF_FALSE, 9, LEAF_TRUE),
     "neg": lambda st: pure.neg(st, 1),
     "apply_binop": lambda st: pure.apply_binop(st, "and", 1, LEAF_TRUE),
+    # a formula of constants only builds nothing, and is refused all the same
+    "compile": lambda st: pure.compile(st, Or(Const(False), Const(True))),
 }
 
 
@@ -896,9 +900,109 @@ def test_read_only_operation_on_older_version_leaves_the_arena_alone():
     stats, memo = pure.store_stats(st_new), st_new.memo
     ref, st = pure.neg(st_old, x1)
     assert ref == 1 and st is st_old
+    # the dropped clone's counts (one not miss, one intern hit) go to the
+    # arena; its graph and tables stay as they were
+    stats["not_misses"] += 1
+    stats["intern_hits"] += 1
     assert pure.store_stats(st_new) == stats
     assert st_new.memo == memo
     assert st_old.memo.mneg == {}
+
+
+def test_older_version_operation_that_allocates_nothing_is_counted():
+    # x1 and !x1 are in st0; the and of them allocates nothing, so its clone
+    # is dropped, and what the clone counted goes to the shared arena
+    x1, st0 = pure.mk_node(_not_x1(), LEAF_FALSE, 1, LEAF_TRUE)
+    _, st1 = pure.mk_node(st0, LEAF_FALSE, 2, LEAF_TRUE)
+    before = pure.store_stats(st1)
+    assert pure.apply_binop(st0, "and", x1, 1) == (LEAF_FALSE, st0)
+    assert pure.store_stats(st0) == {**before, "and_misses": 1}
+    assert pure.store_stats(st1) == pure.store_stats(st0)
+    # the clone's memo entry went with it, so the newest version misses too
+    assert pure.apply_binop(st1, "and", x1, 1) == (LEAF_FALSE, st1)
+    assert pure.store_stats(st1) == {**before, "and_misses": 2}
+
+
+def test_older_version_operation_that_allocates_counts_in_its_result():
+    x1, st0 = pure.mk_node(pure.empty_store(), LEAF_FALSE, 1, LEAF_TRUE)
+    _, st1 = pure.mk_node(st0, LEAF_FALSE, 2, LEAF_TRUE)
+    before = pure.store_stats(st1)
+    ref, st = pure.neg(st0, x1)
+    assert st.shared is not st0.shared and ref == st.count == 2
+    assert pure.store_stats(st1) == before
+    assert pure.store_stats(st) == {
+        **before, "not_misses": 1, "intern_misses": before["intern_misses"] + 1
+    }
+
+
+def test_compile_on_an_older_version_matches_a_fresh_replay():
+    # st0's history is f0; st1 extends st0 with f1, so st0 is older, and the
+    # memo entries f1 made over st0's ids show in st0's clone
+    rng = random.Random(3)
+    f0, f1, f2 = (frontend.random_formula(rng, max_var=6) for _ in range(3))
+    _, st0 = pure.compile(pure.empty_store(), f0)
+    _, st1 = pure.compile(st0, f1)
+    text1 = pure.store_to_text(st1)
+    assert st1.count > st0.count
+    ref, st2 = pure.compile(st0, f2)
+    fresh_ref, fresh = pure.compile(pure.compile(pure.empty_store(), f0)[1], f2)
+    assert (ref, pure.store_to_text(st2)) == (fresh_ref, pure.store_to_text(fresh))
+    assert st2.shared is not st1.shared
+    assert pure.store_to_text(st1) == text1
+
+
+@pytest.mark.parametrize("bad", ["junk", Or(Const(True), None)])
+def test_compile_refused_before_its_first_node_leaves_the_arena_untouched(bad):
+    # nothing was built or counted, so no restore replaces the arena's tables
+    _, st = pure.compile(pure.empty_store(), frontend.parse("x1 & !x2 | x3"))
+    sh = st.shared
+
+    def tables():
+        return [sh.cells, sh.hmap, *(op.memo for op in sh.ops.values())]
+
+    before, stats = tables(), pure.store_stats(st)
+    with pytest.raises(TypeError):
+        pure.compile(st, bad)
+    assert all(now is then for now, then in zip(tables(), before))
+    assert pure.store_stats(st) == stats
+
+
+class _ApplyFault(Exception):
+    """The fault ``test_compile_rewinds_a_formula_that_fails_partway`` injects."""
+
+
+@pytest.mark.parametrize("k", [1, 7, 40, 80])
+def test_compile_rewinds_a_formula_that_fails_partway(monkeypatch, k):
+    # a newest version with nodes and memo entries, then a formula whose
+    # k-th ``_apply`` call fails after the earlier calls built nodes
+    base = frontend.parse("x1 & !x3 | x2 ^ x4")
+    _, st = pure.compile(pure.empty_store(), base)
+    text, stats, memo = pure.store_to_text(st), pure.store_stats(st), st.memo
+    f = frontend.parse("(x1 | x5) & (x2 ^ !x6) & (x3 | x4 ^ x5) ^ (x6 & !x1 | x2)")
+    apply, calls = _engine._apply, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == k:
+            raise _ApplyFault(k)
+        return apply(*args)
+
+    monkeypatch.setattr(_engine, "_apply", failing)
+    with pytest.raises(_ApplyFault):
+        pure.compile(st, f)
+    assert len(calls) == k
+    assert len(st.shared.cells) == st.count
+    assert pure.store_to_text(st) == text
+    assert pure.store_stats(st) == stats
+    assert st.memo == memo
+    monkeypatch.setattr(_engine, "_apply", apply)
+    # still the newest version: the next operation extends its own arena,
+    # as it would have without the failure
+    ref, st2 = pure.compile(st, f)
+    assert st2.shared is st.shared
+    fresh_ref, fresh = pure.compile(pure.compile(pure.empty_store(), base)[1], f)
+    assert (ref, pure.store_to_text(st2)) == (fresh_ref, pure.store_to_text(fresh))
+    assert pure.store_stats(st2) == pure.store_stats(fresh)
 
 
 def test_older_version_sees_memo_entries_a_newer_version_computed():
@@ -1240,3 +1344,41 @@ def test_concurrent_operations_from_one_version():
         assert pure.validate_store(local_st, check_memo_semantics=True).ok
     assert pure.store_to_text(st) == text
     assert pure.validate_store(st, check_memo_semantics=True).ok
+
+
+def test_concurrent_counts_of_dropped_clones_are_not_lost():
+    """Threads run operations that allocate nothing, half on an older
+    version (each on a clone whose counts are added to the arena) and half
+    on the newest (in the arena itself): no count may be lost."""
+    x1, st0 = pure.mk_node(_not_x1(), LEAF_FALSE, 1, LEAF_TRUE)
+    _, st1 = pure.mk_node(st0, LEAF_FALSE, 2, LEAF_TRUE)
+    before = pure.store_stats(st1)
+    rounds, errors = 50, []
+
+    def worker(i):
+        try:
+            for _ in range(rounds):
+                if i % 2:
+                    assert pure.apply_binop(st0, "and", x1, 1) == (LEAF_FALSE, st0)
+                else:
+                    assert pure.apply_binop(st1, "or", x1, 1) == (LEAF_TRUE, st1)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    stats = pure.store_stats(st1)
+    assert stats["and_misses"] - before["and_misses"] == 4 * rounds
+    assert stats["or_misses"] + stats["or_hits"] == 4 * rounds
+    assert stats["or_misses"] == 1
+    assert len(st1.shared.cells) == st1.count

@@ -44,9 +44,12 @@ def _mk_unreduced(arena, low, var, high):
 
 class UnreducedManager(_pykernel.Manager):
     """A Python-kernel manager that keeps the nodes reduction collapses, in
-    ``node`` and in the recursions alike: the fault the validators and the
-    selftest must catch.  Each call runs with ``_mk_unreduced`` in place of
-    the engine's constructor."""
+    ``node``, ``compile`` and the recursions alike: the fault the validators
+    and the selftest must catch.  Each call runs with ``_mk_unreduced`` in
+    place of the engine's constructor."""
+
+    def compile(self, f):
+        return _unreduced(super().compile, f)
 
     def node(self, var, low, high):
         return _unreduced(super().node, var, low, high)
